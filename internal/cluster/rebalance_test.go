@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math/big"
+	"sort"
 	"testing"
 
 	"accelshare/internal/conformance"
@@ -200,6 +202,51 @@ func TestRankServingNameTieBreak(t *testing.T) {
 	}
 	if ranked[0].name != "cb" { // ca now carries s0: cb is colder
 		t.Errorf("ranked[0] = %s, want cb (ca carries s0)", ranked[0].name)
+	}
+}
+
+// TestRankServingMatchesRecomputingSort: ranking on one exact utilisation
+// per chain orders a fleet with equal-utilisation ties exactly as the sort
+// that recomputed both chains' utilisation inside every comparison did.
+func TestRankServingMatchesRecomputingSort(t *testing.T) {
+	c := mustCluster(t, testConfig([]ChainSpec{
+		{Name: "ce", AccelCost: 1, ReserveSlots: 2},
+		{Name: "cb", AccelCost: 1, ReserveSlots: 2},
+		{Name: "cd", AccelCost: 1, ReserveSlots: 2},
+		{Name: "ca", AccelCost: 1, ReserveSlots: 2},
+		{Name: "cc", AccelCost: 1, ReserveSlots: 2},
+	}))
+	submitAt(c, 12_000, StreamRequest{Name: "s0", Period: 150})
+	submitAt(c, 16_000, StreamRequest{Name: "s1", Period: 150})
+	submitAt(c, 20_000, StreamRequest{Name: "s2", Period: 300})
+	c.Run(40_000)
+
+	var want []*chainInfo
+	for _, ci := range c.chains {
+		if ci.state == chainServing && ci.ctrl != nil {
+			want = append(want, ci)
+		}
+	}
+	sort.SliceStable(want, func(a, b int) bool {
+		ua, ub := want[a].ctrl.Model().Utilization(), want[b].ctrl.Model().Utilization()
+		if cmp := ua.Cmp(ub); cmp != 0 {
+			return cmp < 0
+		}
+		return want[a].name < want[b].name
+	})
+	var got, wantNames []string
+	for _, ci := range c.rankServing() {
+		got = append(got, ci.name)
+	}
+	for _, ci := range want {
+		wantNames = append(wantNames, ci.name)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(wantNames) {
+		t.Fatalf("rankServing = %v, recomputing sort = %v", got, wantNames)
+	}
+	// s0 and s1 tie ca with cb, cd ties ce untouched, s2 sits on cc between.
+	if fmt.Sprint(got) != "[cd ce cc ca cb]" {
+		t.Fatalf("rankServing = %v, want [cd ce cc ca cb] (two ties broken by name)", got)
 	}
 }
 

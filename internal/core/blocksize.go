@@ -127,8 +127,9 @@ func (s *System) ComputeBlockSizesILPBudget(maxNodes int) (*BlockSizeResult, err
 //
 // An assignment is feasible iff η ≥ F(η) componentwise, so by Knaster-
 // Tarski the least fixed point is the componentwise-minimal feasible point —
-// which simultaneously minimises Σηs. Divergence of the iteration means the
-// constraints are infeasible.
+// which simultaneously minimises Σηs. Utilisation ≥ 1 is ErrInfeasible; an
+// iteration still climbing after its round cap returns ErrSolverBudget,
+// since running out of rounds proves nothing about feasibility.
 func (s *System) ComputeBlockSizesFixedPoint() (*BlockSizeResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -174,7 +175,7 @@ func (s *System) ComputeBlockSizesFixedPoint() (*BlockSizeResult, error) {
 			return res, nil
 		}
 	}
-	return nil, fmt.Errorf("core: fixed point did not converge in %d rounds: %w", maxRounds, ErrInfeasible)
+	return nil, fmt.Errorf("core: fixed point did not converge in %d rounds: %w", maxRounds, ErrSolverBudget)
 }
 
 // ComputeBlockSizes computes minimum block sizes with the fixed-point
@@ -268,14 +269,15 @@ func (s *System) ComputeBlockSizesRounded(granularity []int64) (*BlockSizeResult
 			return res, nil
 		}
 	}
-	return nil, fmt.Errorf("core: rounded fixed point did not converge: %w", ErrInfeasible)
+	return nil, fmt.Errorf("core: rounded fixed point did not converge: %w", ErrSolverBudget)
 }
 
-// ErrSolverBudget is returned by ComputeBlockSizesWarm when the iteration
-// budget runs out before the fixed point is reached. It is distinct from
-// ErrInfeasible: the constraints may well be satisfiable, the solver was
-// just not given enough rounds to prove it — admission control reports the
-// two outcomes with different rejection reasons.
+// ErrSolverBudget is returned by the fixed-point solvers (FixedPoint,
+// Rounded, Warm) when their round cap runs out before the fixed point is
+// reached. It is distinct from ErrInfeasible: the constraints may well be
+// satisfiable, the solver was just not given enough rounds to prove it —
+// admission control reports the two outcomes with different rejection
+// reasons.
 var ErrSolverBudget = errors.New("core: block-size solver budget exhausted")
 
 // ComputeBlockSizesWarm is the incremental Algorithm 1: Kleene iteration of

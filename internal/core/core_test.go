@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -372,6 +373,39 @@ func TestComputeBlockSizesInfeasible(t *testing.T) {
 	}
 }
 
+// TestFixedPointRoundCapIsBudgetNotInfeasible: two streams at utilisation
+// 0.999995 are feasible (the ILP finds Σ = 4 799 976), but the cold Kleene
+// iteration needs far more than its 10 000-round cap to climb there. Running
+// out of rounds proves nothing about feasibility, so the cap must report
+// ErrSolverBudget — as ComputeBlockSizesWarm does — never ErrInfeasible.
+func TestFixedPointRoundCapIsBudgetNotInfeasible(t *testing.T) {
+	s := &System{
+		Chain:   Chain{Name: "c", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1, NICapacity: 2},
+		ClockHz: 1_000_000,
+		Streams: []Stream{
+			{Name: "a", Rate: big.NewRat(999_995, 2), Reconfig: 10},
+			{Name: "b", Rate: big.NewRat(999_995, 2), Reconfig: 10},
+		},
+	}
+	if u := s.Utilization(); u.Cmp(big.NewRat(199_999, 200_000)) != 0 {
+		t.Fatalf("utilisation = %s, want 0.999995", u.RatString())
+	}
+	il, err := s.ComputeBlockSizesILP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if il.Total != 4_799_976 {
+		t.Fatalf("ILP Σ = %d, want 4799976", il.Total)
+	}
+	_, err = s.ComputeBlockSizesFixedPoint()
+	if !errors.Is(err, ErrSolverBudget) || errors.Is(err, ErrInfeasible) {
+		t.Fatalf("fixed point at its round cap: err = %v, want ErrSolverBudget and not ErrInfeasible", err)
+	}
+	if _, err := s.ComputeBlockSizes(); !errors.Is(err, ErrSolverBudget) {
+		t.Fatalf("ComputeBlockSizes: err = %v, want ErrSolverBudget", err)
+	}
+}
+
 func TestVerifyThroughputDetectsViolation(t *testing.T) {
 	s := twoStreamSystem()
 	if _, err := s.ComputeBlockSizes(); err != nil {
@@ -413,6 +447,63 @@ func TestUtilizationPAL(t *testing.T) {
 	if u.Cmp(want) != 0 {
 		t.Errorf("Utilization = %v, want %v", u, want)
 	}
+}
+
+// TestUtilizationMatchesPerStreamSum is the property test for Utilization:
+// on random systems — clocks from 1 Hz to 10¹² Hz, c0 up to 1000, 1 to 200
+// streams, rates pushed to within a hair of saturation — summing the rates
+// and scaling once by c0/ClockHz is exactly Σ RatePerCycle(i)·c0.
+func TestUtilizationMatchesPerStreamSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	clocks := []int64{1, 7, 44_100, 100_000_000, 3_000_000_007, 1_000_000_000_000}
+	for trial := 0; trial < 200; trial++ {
+		clock := clocks[trial%len(clocks)]
+		if trial%3 == 0 {
+			clock = 1 + rng.Int63n(1_000_000_000_000)
+		}
+		c0 := uint64(1 + rng.Intn(1000))
+		s := &System{
+			Chain:   Chain{Name: "c", AccelCosts: []uint64{1 + uint64(rng.Int63n(int64(c0)))}, EntryCost: c0, ExitCost: 1, NICapacity: 2},
+			ClockHz: clock,
+		}
+		n := 1 + rng.Intn(200)
+		// Saturation is ClockHz/c0 samples/s in total; split (1 − 1/10^k) of
+		// it into n random rational shares.
+		slack := big.NewRat(1, 1)
+		slack.Sub(slack, new(big.Rat).SetFrac64(1, pow10(1+rng.Intn(9))))
+		left := new(big.Rat).Mul(big.NewRat(clock, int64(c0)), slack)
+		for i := 0; i < n; i++ {
+			rate := new(big.Rat).Set(left)
+			if i < n-1 {
+				rate.Mul(rate, big.NewRat(1+rng.Int63n(1000), 1001+rng.Int63n(1000)))
+				left.Sub(left, rate)
+			}
+			s.Streams = append(s.Streams, Stream{Name: "s", Rate: rate, Reconfig: 1})
+		}
+		want := new(big.Rat)
+		c0r := new(big.Rat).SetInt64(int64(s.Chain.C0()))
+		for i := range s.Streams {
+			want.Add(want, new(big.Rat).Mul(s.RatePerCycle(i), c0r))
+		}
+		if got := s.Utilization(); got.Cmp(want) != 0 {
+			t.Fatalf("trial %d (clock %d, c0 %d, n %d): Utilization = %s, per-stream sum %s",
+				trial, clock, c0, n, got.RatString(), want.RatString())
+		}
+		if want.Cmp(big.NewRat(1, 1)) >= 0 {
+			t.Fatalf("trial %d: generator overshot saturation: U = %s", trial, want.RatString())
+		}
+	}
+	if u := (&System{ClockHz: 1}).Utilization(); u.Sign() != 0 {
+		t.Errorf("no streams: Utilization = %s, want 0", u.RatString())
+	}
+}
+
+func pow10(k int) int64 {
+	v := int64(1)
+	for ; k > 0; k-- {
+		v *= 10
+	}
+	return v
 }
 
 func TestC1IsSumOfReconfigs(t *testing.T) {

@@ -13,7 +13,9 @@ type benchParts struct {
 	in, out *cfifo.FIFO
 }
 
-func benchRig(b *testing.B, k *sim.Kernel) *benchParts {
+// benchRig wires one live stream behind tombstones released slots, so the
+// arbiter's wake-ups have that much slot history to skip.
+func benchRig(b *testing.B, k *sim.Kernel, tombstones int) *benchParts {
 	b.Helper()
 	net, err := ring.NewDual(k, 5, 1)
 	if err != nil {
@@ -29,6 +31,30 @@ func benchRig(b *testing.B, k *sim.Kernel) *benchParts {
 	}, []*accel.Tile{tile}, entryLink, exitNI)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for i := 0; i < tombstones; i++ {
+		port := 100 + 2*i
+		tin, err := cfifo.New(k, net, cfifo.Config{
+			Name: "t.in", Capacity: 8, ProducerNode: 3, ConsumerNode: 0, DataPort: port, AckPort: port,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tout, err := cfifo.New(k, net, cfifo.Config{
+			Name: "t.out", Capacity: 8, ProducerNode: 2, ConsumerNode: 4, DataPort: port, AckPort: port + 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pair.AddStream(&Stream{
+			Name: "t", Block: 8, OutBlock: 8, In: tin, Out: tout,
+			Engines: []accel.Engine{accel.Passthrough{}}, Suspended: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pair.ReleaseSlot(i); err != nil {
+			b.Fatal(err)
+		}
 	}
 	in, err := cfifo.New(k, net, cfifo.Config{
 		Name: "in", Capacity: 32, ProducerNode: 3, ConsumerNode: 0, DataPort: 20, AckPort: 20,

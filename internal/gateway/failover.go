@@ -20,6 +20,7 @@ package gateway
 
 import (
 	"fmt"
+	"slices"
 
 	"accelshare/internal/sim"
 )
@@ -136,6 +137,7 @@ func (p *Pair) ExportStreams() ([]StreamExport, error) {
 		exports[i] = ex
 	}
 	p.streams = nil
+	p.live = nil
 	return exports, nil
 }
 
@@ -208,7 +210,8 @@ func (p *Pair) ImportStream(e StreamExport) (int, error) {
 // pendingReplay). The slot itself is replaced by a Released tombstone: slot
 // tables never shrink, so every later slot keeps its index and the pending
 // admission-event log stays valid; the tombstone is permanently suspended and
-// owns no FIFOs or engine state.
+// owns no FIFOs or engine state, and it leaves the live index that
+// arbitration walks.
 //
 //accellint:deepcopy
 func (p *Pair) ReleaseSlot(slot int) (StreamExport, error) {
@@ -237,6 +240,8 @@ func (p *Pair) ReleaseSlot(slot int) (StreamExport, error) {
 	// departing stream must arrive at its importer ready to arbitrate.
 	s.Suspended = false
 	p.streams[slot] = &Stream{Name: s.Name, Suspended: true, Released: true}
+	j, _ := slices.BinarySearch(p.live, slot)
+	p.live = slices.Delete(p.live, j, j+1)
 	if p.loadedStream == slot {
 		// The released stream's engine state was the one swapped into the
 		// tiles; the export deep-copied it, so nothing is loaded any more.

@@ -49,6 +49,7 @@ package gateway
 
 import (
 	"fmt"
+	"slices"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
@@ -363,6 +364,11 @@ type Pair struct {
 	link    *accel.Link // entry gateway -> first accelerator
 	exitNI  *sim.Queue  // last accelerator -> exit gateway NI
 	streams []*Stream
+	// live lists, ascending, the slots of streams that are not Released
+	// tombstones. Arbitration and eligibility tracking walk it instead of
+	// the whole slot table, so their cost follows the live stream count,
+	// not the chain's slot history.
+	live []int
 
 	// Entry state machine.
 	state    entryState
@@ -533,6 +539,7 @@ func (p *Pair) AddStream(s *Stream) error {
 	}
 	s.saved = make([][]uint64, len(s.Engines))
 	p.streams = append(p.streams, s)
+	p.live = append(p.live, len(p.streams)-1)
 	s.In.SubscribeData(p.step)
 	s.Out.SubscribeSpace(p.step)
 	return nil
@@ -572,8 +579,11 @@ func (p *Pair) ready(i int) bool {
 
 // trackQueued records the instant each stream becomes eligible, for
 // turnaround (γs) measurement against Eq. 4.
+//
+//accellint:noalloc guard=TestArbitrationZeroAlloc
 func (p *Pair) trackQueued() {
-	for i, s := range p.streams {
+	for _, i := range p.live {
+		s := p.streams[i]
 		if s.Quarantined || s.Suspended {
 			continue
 		}
@@ -610,22 +620,36 @@ func (p *Pair) entryRun() {
 	}
 }
 
+// tryStart begins a block for the stream the arbiter picks, if any.
+//
+//accellint:noalloc guard=TestArbitrationZeroAlloc
 func (p *Pair) tryStart() {
-	n := len(p.streams)
-	if n == 0 {
-		return
+	if i := p.pick(); i >= 0 {
+		p.beginBlock(i)
 	}
-	base := p.rr
-	if p.cfg.Arbiter == FixedPriority {
-		base = 0
+}
+
+// pick returns the first ready slot in arbitration order — slots from p.rr
+// (round-robin) or from 0 (fixed priority) upwards, wrapping around — or -1
+// when no stream is ready. It walks the live index from its first slot ≥
+// the base, which is that order with the tombstones (never ready) left out.
+//
+//accellint:noalloc guard=TestArbitrationZeroAlloc
+func (p *Pair) pick() int {
+	n := len(p.live)
+	if n == 0 {
+		return -1
+	}
+	start := 0
+	if p.cfg.Arbiter != FixedPriority {
+		start, _ = slices.BinarySearch(p.live, p.rr)
 	}
 	for off := 0; off < n; off++ {
-		i := (base + off) % n
-		if p.ready(i) {
-			p.beginBlock(i)
-			return
+		if i := p.live[(start+off)%n]; p.ready(i) {
+			return i
 		}
 	}
+	return -1
 }
 
 // beginBlock starts serving stream i: reconfiguration first.
