@@ -114,7 +114,8 @@ func BenchmarkBlockSizeILP(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockSizeSolvers is A4: ILP versus fixed-point iteration.
+// BenchmarkBlockSizeSolvers is A4: the paper's ILP versus the exact
+// fixed-point kernel that serves every online solve.
 func BenchmarkBlockSizeSolvers(b *testing.B) {
 	b.Run("ilp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -127,7 +128,7 @@ func BenchmarkBlockSizeSolvers(b *testing.B) {
 	b.Run("fixedpoint", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := palModel()
-			if _, err := s.ComputeBlockSizesFixedPoint(); err != nil {
+			if _, err := s.SolveBlockSizes(nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

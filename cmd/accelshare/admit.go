@@ -141,8 +141,8 @@ func admitCampaign(w io.Writer, script string, horizon sim.Time, reserve int) er
 	fmt.Fprintln(w, "Online admission control: 4 live streams share one accelerator chain")
 	fmt.Fprintln(w, "(ε=15, ρA=1, δ=1, Rs=50, μs=1/75 each → η=22, τ̂=410, γ̂=1640), with")
 	fmt.Fprintf(w, "%d reserved gateway slot(s) for live admission; horizon %d cycles.\n", reserve, horizon)
-	fmt.Fprintln(w, "Each request re-solves Algorithm 1 incrementally (budgeted exact ILP,")
-	fmt.Fprintln(w, "warm-started fixed point as fallback) and applies the result as a staged")
+	fmt.Fprintln(w, "Each request re-solves Algorithm 1 incrementally (exact fixed point from")
+	fmt.Fprintln(w, "a closed-form start, warm-started) and applies the result as a staged")
 	fmt.Fprintln(w, "mode transition: drain to a block boundary, reprogram stream slots over")
 	fmt.Fprintln(w, "the configuration bus, resume. Decisions, in order:")
 	fmt.Fprintln(w)

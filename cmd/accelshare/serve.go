@@ -30,7 +30,6 @@ import (
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
-	"accelshare/internal/solve"
 )
 
 func init() {
@@ -139,21 +138,6 @@ func serveShort(seed uint64) serveProfile {
 	}
 }
 
-// serveSolver is the sustained-serving solver stack: the exactly-re-verified
-// float fast path for every re-solve, with the exact warm fixed point (no
-// rational tableau) as verification fallback. The production default routes
-// small instances to the exact ILP tier for byte-stable optimality, but at
-// serve's churn rate — thousands of admissions, departures and migrations,
-// each a per-chain Algorithm 1 re-solve — the dense big.Rat tableau is the
-// dominant campaign cost. The fast path keeps every guarantee (no float
-// value reaches the platform without passing exact verification) at a
-// fraction of it, and float64 arithmetic is deterministic, so the transcript
-// stays byte-stable.
-func serveSolver() solve.Solver {
-	exact := &solve.Exact{ILPStreamCap: 1}
-	return &solve.Incremental{Inner: &solve.Fast{Fallback: exact}}
-}
-
 // serveConfig mirrors chaosConfig's fleet parameters (one shared fixture
 // keeps the campaign surface comparable) with the rebalancer armed.
 func serveConfig(p serveProfile) cluster.Config {
@@ -175,7 +159,6 @@ func serveConfig(p serveProfile) cluster.Config {
 		InCapacity:       512,
 		OutCapacity:      256,
 		CollectOutputs:   true,
-		Solver:           serveSolver(),
 		ReclaimSlots:     true,
 		Rebalance:        p.rebalance,
 		Chains:           p.chains,

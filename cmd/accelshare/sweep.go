@@ -84,7 +84,7 @@ func runSharingSweep(args []string) error {
 			for i := range gr {
 				gr[i] = 8
 			}
-			res, err := s.ComputeBlockSizesRounded(gr)
+			res, err := s.ComputeBlockSizes(gr...)
 			if err != nil {
 				feasible = false
 				break

@@ -50,7 +50,7 @@ func main() {
 			{Name: "radioB", Rate: big.NewRat(int64(rateB), 1), Reconfig: 4100},
 		},
 	}
-	res, err := model.ComputeBlockSizesRounded([]int64{8, 8})
+	res, err := model.ComputeBlockSizes(8, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 // The paper sizes block sizes ηs once, offline, with Algorithm 1 for a
 // fixed stream set. A service under live traffic changes the set while
 // blocks are flowing, so every request here runs the same analysis
-// incrementally — an exact ILP re-solve under a node budget with a
-// warm-started Kleene fixed point as fallback — and, only when the new
+// incrementally — the exact Algorithm 1 kernel, warm-started from the
+// committed assignment after additions — and, only when the new
 // configuration is provably feasible, applies it as a staged mode
 // transition:
 //
@@ -46,7 +46,6 @@ import (
 	"accelshare/internal/accel"
 	"accelshare/internal/core"
 	"accelshare/internal/gateway"
-	"accelshare/internal/ilp"
 	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
 	"accelshare/internal/solve"
@@ -59,16 +58,15 @@ type Reason string
 const (
 	// ReasonAdmitted marks an accepted request.
 	ReasonAdmitted Reason = "admitted"
-	// ReasonInfeasible: Algorithm 1 has no solution (utilisation ≥ 1 or the
-	// ILP is infeasible).
+	// ReasonInfeasible: Algorithm 1 has no solution (utilisation ≥ 1).
 	ReasonInfeasible Reason = "infeasible"
 	// ReasonBufferBound: the new configuration is feasible in time but a
 	// stream's C-FIFO, fixed at build time, is smaller than the buffer
 	// bound the new ηs requires.
 	ReasonBufferBound Reason = "buffer-bound"
-	// ReasonSolverBudget: neither the budgeted ILP nor the fixed-point
-	// fallback finished within its budget. The request may well be
-	// feasible; the control plane refused to stall proving it.
+	// ReasonSolverBudget: the solver's round cap ran out before the fixed
+	// point. The request may well be feasible; the control plane refused to
+	// stall proving it.
 	ReasonSolverBudget Reason = "solver-budget"
 	// ReasonNoSlot: no reserved ring slot is left for a new stream.
 	ReasonNoSlot Reason = "no-reserved-slot"
@@ -102,15 +100,10 @@ type Verdict struct {
 	Detail string
 	// Blocks is the applied assignment (accepted requests only).
 	Blocks []BlockAssignment
-	// FixedPoint is true when the warm-started exact fixed point produced
-	// the assignment (the budgeted ILP gave up or granularity constraints
-	// ruled it out); SolveRounds is the iteration count then.
-	FixedPoint  bool
-	SolveRounds int
 	// SolverPath records which solve.Solver decision procedure produced
-	// the assignment (solve.PathILP, PathWarm or PathFloat). FixedPoint is
-	// its legacy projection: true exactly for PathWarm.
-	SolverPath solve.Path
+	// the assignment; SolveRounds is its round count.
+	SolverPath  solve.Path
+	SolveRounds int
 	// BoundCycles bounds the transition: max τ̂s over the outgoing
 	// configuration (the drain can wait for one in-flight block, retries
 	// included in the Rs + (η+2)c0 envelope) plus the configuration-bus
@@ -178,15 +171,8 @@ type Config struct {
 	Decimations []int64
 	// PerSlotCost is the configuration-bus cost per reprogrammed slot.
 	PerSlotCost sim.Time
-	// ILPNodes bounds the exact re-solve's branch-and-bound tree
-	// (0 = solver default); WarmRounds bounds the fixed-point fallback
-	// (0 = 10k).
-	ILPNodes int
-	// WarmRounds bounds the warm-started fixed-point iteration.
-	WarmRounds int
 	// Solver is the Algorithm 1 decision procedure (nil = the production
-	// stack solve.Default(ILPNodes, WarmRounds): warm-start layer over an
-	// exact/fast tier split, every fast-path plan exactly re-verified).
+	// stack: the solve.Incremental warm-start layer over solve.Exact).
 	// The controller passes its committed assignment as Problem.Prev on
 	// every re-solve, so warm-start soundness (additions reuse, removals
 	// restart cold) is the solver stack's responsibility.
@@ -288,7 +274,7 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	}
 	solver := cfg.Solver
 	if solver == nil {
-		solver = solve.Default(cfg.ILPNodes, cfg.WarmRounds)
+		solver = &solve.Incremental{Inner: &solve.Exact{}}
 	}
 	c := &Controller{
 		ms: ms, ci: cfg.Chain, cfg: cfg, solver: solver,
@@ -402,9 +388,9 @@ func assignment(model *core.System, blocks []int64) []BlockAssignment {
 // along as Problem.Prev; the solver stack's warm-start layer decides
 // whether it is a sound seed (the candidate only adds streams) or whether
 // the iteration must restart cold (a committed stream is gone, so the
-// least fixed point shrank). Rejections keep their legacy error identities:
-// core.ErrInfeasible, core.ErrSolverBudget and ilp.ErrBranchBudget all
-// surface unchanged through the interface.
+// least fixed point shrank). Rejections keep their error identities:
+// core.ErrInfeasible and core.ErrSolverBudget surface unchanged through the
+// interface.
 func (c *Controller) solve(model *core.System, granularity []int64) (*solve.Result, error) {
 	prev := make([]solve.Assignment, len(c.model.Streams))
 	for i := range c.model.Streams {
@@ -416,7 +402,6 @@ func (c *Controller) solve(model *core.System, granularity []int64) (*solve.Resu
 // verdictSolver fills a verdict's solver-provenance fields from a result.
 func verdictSolver(v *Verdict, res *solve.Result) {
 	v.SolverPath = res.Path
-	v.FixedPoint = res.Path == solve.PathWarm
 	v.SolveRounds = res.Rounds
 }
 
@@ -468,7 +453,7 @@ func rejectReason(err error) (Reason, string) {
 	switch {
 	case errors.Is(err, core.ErrInfeasible):
 		return ReasonInfeasible, err.Error()
-	case errors.Is(err, core.ErrSolverBudget), errors.Is(err, ilp.ErrBranchBudget):
+	case errors.Is(err, core.ErrSolverBudget):
 		return ReasonSolverBudget, err.Error()
 	default:
 		return ReasonBadRequest, err.Error()

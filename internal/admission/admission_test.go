@@ -12,6 +12,7 @@ import (
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
+	"accelshare/internal/solve"
 )
 
 // The test scenario (ClockHz 1, so samples/second == samples/cycle):
@@ -198,8 +199,8 @@ func TestAddStreamLifecycle(t *testing.T) {
 			t.Fatalf("assignment[%d] = %v, want %v", i, a, want[i])
 		}
 	}
-	if v5.FixedPoint {
-		t.Error("exact ILP should have solved the 5-variable problem")
+	if v5.SolverPath != solve.PathWarm || v5.SolveRounds < 1 {
+		t.Errorf("solver provenance %q/%d, want the exact kernel", v5.SolverPath, v5.SolveRounds)
 	}
 	if uint64(v5.PauseWait)+v5.BusCycles > v5.BoundCycles {
 		t.Errorf("transition cost %d+%d exceeds its bound %d", v5.PauseWait, v5.BusCycles, v5.BoundCycles)

@@ -88,9 +88,8 @@ type Config struct {
 	// in campaigns; off for long soaks where memory matters).
 	CollectOutputs bool
 	// Solver is the per-chain Algorithm 1 decision procedure handed to
-	// every admission controller (nil = the admission default,
-	// solve.Default: exact below the tier split, exactly-verified float
-	// fast path above). One shared instance is fine — solvers are
+	// every admission controller (nil = the admission default, the
+	// warm-started exact kernel). One shared instance is fine — solvers are
 	// stateless and safe for concurrent use.
 	Solver solve.Solver
 	// Rebalance arms the periodic utilisation-spread rebalancing loop

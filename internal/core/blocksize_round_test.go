@@ -61,11 +61,11 @@ func TestRoundedGranularityNonMonotone(t *testing.T) {
 		}
 	}
 
-	fine, err := newSys().ComputeBlockSizesRounded([]int64{1})
+	fine, err := newSys().ComputeBlockSizes(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := newSys().ComputeBlockSizesRounded([]int64{5})
+	coarse, err := newSys().ComputeBlockSizes(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestRoundedTwoGranularitiesMultiStream(t *testing.T) {
 			},
 		}
 	}
-	fine, err := newSys().ComputeBlockSizesRounded([]int64{1, 1, 1})
+	fine, err := newSys().ComputeBlockSizes(1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := newSys().ComputeBlockSizesRounded([]int64{8, 1, 1})
+	coarse, err := newSys().ComputeBlockSizes(8, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func TestComputeBlockSizesRoundedPAL(t *testing.T) {
 	// The chain down-samples by 8, so implementable blocks must be
 	// multiples of 8 (the paper's 10136 = 8·1267 obeys this too).
 	s := palSystem()
-	res, err := s.ComputeBlockSizesRounded([]int64{8, 8, 8, 8})
+	res, err := s.ComputeBlockSizes(8, 8, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,22 +278,22 @@ func TestComputeBlockSizesRoundedPAL(t *testing.T) {
 	if s.FeasibleBlocks([]int64{9832, 9832, 1232, 1232}) {
 		t.Error("naively rounded blocks unexpectedly feasible; test premise broken")
 	}
-	// Granularity 1 degenerates to the plain solver.
-	plain, err := s.ComputeBlockSizesRounded([]int64{1, 1, 1, 1})
+	// Granularity 1 degenerates to the plain problem, the paper's ILP.
+	plain, err := s.ComputeBlockSizes(1, 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := s.ComputeBlockSizesFixedPoint()
+	il, err := s.ComputeBlockSizesILP()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range plain.Blocks {
-		if plain.Blocks[i] != fp.Blocks[i] {
-			t.Fatalf("granularity-1 %v != plain %v", plain.Blocks, fp.Blocks)
+		if plain.Blocks[i] != il.Blocks[i] {
+			t.Fatalf("granularity-1 %v != ILP %v", plain.Blocks, il.Blocks)
 		}
 	}
 	// Length mismatch is rejected.
-	if _, err := s.ComputeBlockSizesRounded([]int64{8}); err == nil {
+	if _, err := s.ComputeBlockSizes(8); err == nil {
 		t.Error("wrong granularity length accepted")
 	}
 }
@@ -339,7 +339,7 @@ func TestBlockSizeILPMatchesFixedPoint(t *testing.T) {
 		if s.Utilization().Cmp(big.NewRat(9, 10)) > 0 {
 			continue // too close to saturation; both solvers blow up sizes
 		}
-		fp, errFP := s.ComputeBlockSizesFixedPoint()
+		fp, errFP := s.SolveBlockSizes(nil, nil)
 		il, errIL := s.ComputeBlockSizesILP()
 		if (errFP == nil) != (errIL == nil) {
 			t.Fatalf("trial %d: fixed point err=%v, ILP err=%v", trial, errFP, errIL)
@@ -365,8 +365,8 @@ func TestComputeBlockSizesInfeasible(t *testing.T) {
 			{Name: "b", Rate: big.NewRat(4_000_000, 1), Reconfig: 100},
 		},
 	}
-	if _, err := s.ComputeBlockSizesFixedPoint(); err == nil {
-		t.Error("fixed point accepted infeasible system")
+	if _, err := s.ComputeBlockSizes(); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("kernel on an infeasible system: err = %v, want ErrInfeasible", err)
 	}
 	if _, err := s.ComputeBlockSizesILP(); err == nil {
 		t.Error("ILP accepted infeasible system")
@@ -374,19 +374,14 @@ func TestComputeBlockSizesInfeasible(t *testing.T) {
 }
 
 // TestFixedPointRoundCapIsBudgetNotInfeasible: two streams at utilisation
-// 0.999995 are feasible (the ILP finds Σ = 4 799 976), but the cold Kleene
-// iteration needs far more than its 10 000-round cap to climb there. Running
-// out of rounds proves nothing about feasibility, so the cap must report
-// ErrSolverBudget — as ComputeBlockSizesWarm does — never ErrInfeasible.
+// 0.999995 are feasible (the ILP finds Σ = 4 799 976). A cold Kleene
+// iteration from all-ones needs far more than 10 000 rounds to climb there;
+// the kernel's closed-form start lands on the fixed point at once, so the
+// block-size entry point and OptimalBlockSizesForMemory both solve it. The
+// round cap itself must still report ErrSolverBudget, never ErrInfeasible:
+// running out of rounds proves nothing about feasibility.
 func TestFixedPointRoundCapIsBudgetNotInfeasible(t *testing.T) {
-	s := &System{
-		Chain:   Chain{Name: "c", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1, NICapacity: 2},
-		ClockHz: 1_000_000,
-		Streams: []Stream{
-			{Name: "a", Rate: big.NewRat(999_995, 2), Reconfig: 10},
-			{Name: "b", Rate: big.NewRat(999_995, 2), Reconfig: 10},
-		},
-	}
+	s := nearSaturation()
 	if u := s.Utilization(); u.Cmp(big.NewRat(199_999, 200_000)) != 0 {
 		t.Fatalf("utilisation = %s, want 0.999995", u.RatString())
 	}
@@ -397,12 +392,51 @@ func TestFixedPointRoundCapIsBudgetNotInfeasible(t *testing.T) {
 	if il.Total != 4_799_976 {
 		t.Fatalf("ILP Σ = %d, want 4799976", il.Total)
 	}
-	_, err = s.ComputeBlockSizesFixedPoint()
-	if !errors.Is(err, ErrSolverBudget) || errors.Is(err, ErrInfeasible) {
-		t.Fatalf("fixed point at its round cap: err = %v, want ErrSolverBudget and not ErrInfeasible", err)
+	res, err := s.ComputeBlockSizes()
+	if err != nil {
+		t.Fatalf("ComputeBlockSizes: %v", err)
 	}
-	if _, err := s.ComputeBlockSizes(); !errors.Is(err, ErrSolverBudget) {
-		t.Fatalf("ComputeBlockSizes: err = %v, want ErrSolverBudget", err)
+	if res.Total != il.Total || res.Blocks[0] != il.Blocks[0] || res.Blocks[1] != il.Blocks[1] {
+		t.Fatalf("ComputeBlockSizes = %v (Σ=%d), ILP %v (Σ=%d)", res.Blocks, res.Total, il.Blocks, il.Total)
+	}
+	// The memory search now gets past Algorithm 1. Its Fig. 7 buffer sizing
+	// cannot size 2.4M-sample blocks within the dataflow state budget, so
+	// the search window comes up empty — but never for a solver reason.
+	mem, err := nearSaturation().OptimalBlockSizesForMemory(0, 1)
+	switch {
+	case errors.Is(err, ErrSolverBudget) || errors.Is(err, ErrInfeasible):
+		t.Fatalf("OptimalBlockSizesForMemory: %v", err)
+	case err == nil && mem.MinBlocks[0]+mem.MinBlocks[1] != il.Total:
+		t.Fatalf("OptimalBlockSizesForMemory min blocks %v, want Σ = %d", mem.MinBlocks, il.Total)
+	}
+
+	// The cap, one round short of what the instance needs, on a plain and
+	// on a granular problem.
+	for _, gran := range [][]int64{nil, {8, 8, 8, 8}} {
+		want, err := palSystem().SolveBlockSizes(nil, gran)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = palSystem().solveBlockSizes(nil, gran, want.Rounds-1)
+		if !errors.Is(err, ErrSolverBudget) || errors.Is(err, ErrInfeasible) {
+			t.Fatalf("granularity %v, cap %d: err = %v, want ErrSolverBudget and not ErrInfeasible",
+				gran, want.Rounds-1, err)
+		}
+		if got, err := palSystem().solveBlockSizes(nil, gran, want.Rounds); err != nil || got.Total != want.Total {
+			t.Fatalf("granularity %v, cap %d: %v (err %v), want Σ = %d", gran, want.Rounds, got, err, want.Total)
+		}
+	}
+}
+
+// nearSaturation is two streams at utilisation 0.999995.
+func nearSaturation() *System {
+	return &System{
+		Chain:   Chain{Name: "c", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1, NICapacity: 2},
+		ClockHz: 1_000_000,
+		Streams: []Stream{
+			{Name: "a", Rate: big.NewRat(999_995, 2), Reconfig: 10},
+			{Name: "b", Rate: big.NewRat(999_995, 2), Reconfig: 10},
+		},
 	}
 }
 

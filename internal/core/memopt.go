@@ -123,7 +123,7 @@ func (s *System) OptimalBlockSizesForMemory(window int, step int64) (*MemoryResu
 	if step < 1 {
 		step = 1
 	}
-	minRes, err := s.Clone().ComputeBlockSizesFixedPoint()
+	minRes, err := s.SolveBlockSizes(nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func TestTotalMemoryAtRejectsInfeasible(t *testing.T) {
 
 func TestTotalMemoryAtMinimumBlocks(t *testing.T) {
 	s := memSystem()
-	min, err := s.Clone().ComputeBlockSizesFixedPoint()
+	min, err := s.SolveBlockSizes(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Edge-case regressions for the exact solver: the degenerate corners that
-// tolerance-based solvers get wrong and that the fast float path leans on
-// this package to adjudicate.
+// tolerance-based solvers get wrong, and that the block-size kernel's ILP
+// oracle must adjudicate exactly.
 
 func frac(n, d int64) *big.Rat { return big.NewRat(n, d) }
 

@@ -53,8 +53,7 @@ type Problem struct {
 	Minimize bool
 	// MaxNodes bounds the branch-and-bound tree explored by SolveILP
 	// (0 = the default of 200k nodes). When the budget runs out the solve
-	// returns ErrBranchBudget — callers with a time budget (online admission
-	// control) catch it and fall back to an iterative solver.
+	// returns ErrBranchBudget.
 	MaxNodes int
 	names    []string
 	obj      []*big.Rat

@@ -57,8 +57,6 @@ type FailoverConfig struct {
 	// are kept verbatim.
 	Resolve      bool
 	StandbyChain *core.Chain
-	// WarmRounds budgets the warm-started re-solve (0 = default 64).
-	WarmRounds int
 	// Checkpoint and CheckpointCost mirror the primary's
 	// gateway.Recovery.Checkpoint / CheckpointCost. When Checkpoint > 0 the
 	// cost bound uses the adjusted Eq. 2 term τ̂s(K)
@@ -367,11 +365,7 @@ func (fc *FailoverController) resolve(exports []gateway.StreamExport, decims []i
 		start[i] = e.Stream.Block
 	}
 	model.Streams = streams
-	rounds := fc.cfg.WarmRounds
-	if rounds <= 0 {
-		rounds = 64
-	}
-	res, err := model.ComputeBlockSizesWarm(start, decims, rounds)
+	res, err := model.SolveBlockSizes(start, decims)
 	if err != nil {
 		return nil, err
 	}

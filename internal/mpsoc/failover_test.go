@@ -342,3 +342,29 @@ func TestFailoverSweep(t *testing.T) {
 		})
 	}
 }
+
+// TestStandbyResolveNearSaturation: the standby re-solve, warm-started
+// from small outgoing blocks of two streams at utilisation 0.999995, climbs
+// to the ILP's Σ = 4 799 976 instead of giving up on a round budget.
+func TestStandbyResolveNearSaturation(t *testing.T) {
+	model := &core.System{
+		Chain:   core.Chain{Name: "sat", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1, NICapacity: 2},
+		ClockHz: 1_000_000,
+		Streams: []core.Stream{
+			{Name: "a", Rate: big.NewRat(999_995, 2), Reconfig: 10, Block: 16},
+			{Name: "b", Rate: big.NewRat(999_995, 2), Reconfig: 10, Block: 16},
+		},
+	}
+	fc := &FailoverController{cfg: FailoverConfig{Model: model, Resolve: true}}
+	exports := []gateway.StreamExport{
+		{Stream: &gateway.Stream{Name: "a", Block: 16}},
+		{Stream: &gateway.Stream{Name: "b", Block: 16}},
+	}
+	blocks, err := fc.resolve(exports, []int64{1, 1})
+	if err != nil {
+		t.Fatalf("standby re-solve: %v", err)
+	}
+	if blocks[0]+blocks[1] != 4_799_976 {
+		t.Fatalf("standby re-solve %v, want Σ = 4799976", blocks)
+	}
+}

@@ -85,7 +85,7 @@ func DefaultParams() Params {
 		ToneAmp:    18000,
 		ClockHz:    100e6,
 		// Minimum feasible blocks at multiples of the decimation factor,
-		// from core.ComputeBlockSizesRounded on the paper's parameters.
+		// from core.(*System).ComputeBlockSizes on the paper's parameters.
 		Blocks:     [4]int64{9848, 9848, 1232, 1232},
 		Reconfig:   4100,
 		EntryCost:  15,

@@ -1,55 +1,39 @@
 package solve
 
-import (
-	"errors"
-
-	"accelshare/internal/ilp"
-)
-
-// Exact is the existing big.Rat decision procedure moved behind the Solver
-// interface, semantics unchanged: the budgeted exact ILP
-// (core.ComputeBlockSizesILPBudget) first when every granularity is 1, the
-// warm-started exact Kleene fixed point (core.ComputeBlockSizesWarm) when
-// the branch budget runs out or granularity constraints rule the ILP out.
-// Every intermediate value is an exact rational, so its results are
-// verified by construction.
+// Exact is the one online Algorithm 1 solver: it calls the exact kernel
+// core.(*System).SolveBlockSizes with the problem's warm start and
+// granularity. Every value it touches is an exact integer or rational, so
+// its results are exact by construction.
 type Exact struct {
-	// ILPNodes bounds the branch-and-bound tree (0 = the ilp default).
-	ILPNodes int
-	// WarmRounds bounds the fixed-point iteration (0 = the core default).
-	WarmRounds int
-	// ILPStreamCap, when > 0, skips the ILP entirely above that many
-	// streams and goes straight to the fixed point: the dense rational
-	// tableau is Θ(n³) big.Rat pivots per LP solve, which stops being a
-	// sensible first attempt long before the branch budget would notice.
-	// 0 preserves the legacy always-try-ILP behavior.
+	// Deprecated: ILPStreamCap is ignored; Exact never runs the ILP.
 	ILPStreamCap int
 }
 
 // Name identifies the exact solver.
 func (e *Exact) Name() string { return "exact" }
 
-// Solve runs the exact decision procedure. The returned Path records which
-// exact sub-procedure decided the instance (PathILP or PathWarm) so the
-// admission verdict renders identically to the pre-interface code.
+// Solve runs the kernel. Every Result carries PathWarm.
 func (e *Exact) Solve(p *Problem) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if p.plain() && (e.ILPStreamCap <= 0 || len(p.Model.Streams) <= e.ILPStreamCap) {
-		res, err := p.Model.ComputeBlockSizesILPBudget(e.ILPNodes)
-		if err == nil {
-			return &Result{Blocks: res.Blocks, Total: res.Total, Rounds: res.Rounds,
-				Path: PathILP, Verified: true}, nil
-		}
-		if !errors.Is(err, ilp.ErrBranchBudget) {
-			return nil, err
-		}
-	}
-	res, err := p.Model.ComputeBlockSizesWarm(p.Start, p.Granularity, e.WarmRounds)
+	res, err := p.Model.SolveBlockSizes(p.Start, p.Granularity)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Blocks: res.Blocks, Total: res.Total, Rounds: res.Rounds,
-		Path: PathWarm, Verified: true}, nil
+	return &Result{Blocks: res.Blocks, Total: res.Total, Rounds: res.Rounds, Path: PathWarm}, nil
 }
+
+// Fast is the former float64 tier.
+//
+// Deprecated: Fast has no logic of its own: Solve is Exact's and Fallback
+// is ignored. Use Exact.
+type Fast struct {
+	Fallback Solver
+}
+
+// Name identifies the solver.
+func (f *Fast) Name() string { return "fast" }
+
+// Solve runs Exact.
+func (f *Fast) Solve(p *Problem) (*Result, error) { return (&Exact{}).Solve(p) }

@@ -80,8 +80,8 @@ func AddedUtilization(m *core.System, rate *big.Rat) *big.Rat {
 
 // Fits reports whether adding one stream of the given rate keeps the
 // chain's exact utilisation strictly below 1 — the necessary and
-// sufficient condition for SOME feasible block assignment to exist, per
-// the divergence argument behind core.ComputeBlockSizesFixedPoint. It is
+// sufficient condition for SOME feasible block assignment to exist (see
+// core.(*System).SolveBlockSizes). It is
 // a pure big.Rat computation, O(streams), with no solver involved: the
 // cheap pre-filter for cluster-wide placement.
 func Fits(m *core.System, rate *big.Rat) bool {
@@ -103,8 +103,8 @@ type PlacementPlan struct {
 	// Models[c] is a deep copy of chains[c] with its placed streams
 	// appended, in arrival order.
 	Models []*core.System
-	// Results[c] is the verified solve result for Models[c] (nil for
-	// chains that received no streams and were not re-solved).
+	// Results[c] is the solve result for Models[c] (zero for chains that
+	// received no streams and were not re-solved).
 	Results []ShardResult
 }
 
@@ -112,9 +112,7 @@ type PlacementPlan struct {
 // stream goes to the feasible chain with the largest exact headroom
 // (best-fit; ties broken by chain index, so the plan is deterministic),
 // then every chain that received streams is re-solved as an independent
-// shard. Results are exact-verified by construction of the Solver
-// contract; PlanPlacement additionally re-checks each accepted plan with
-// Verify and reports any violation as that shard's error.
+// shard.
 func PlanPlacement(s Solver, chains []*core.System, streams []core.Stream, workers int) *PlacementPlan {
 	plan := &PlacementPlan{
 		ChainOf: make([]int, len(streams)),
@@ -159,14 +157,7 @@ func PlanPlacement(s Solver, chains []*core.System, streams []core.Stream, worke
 		}
 	}
 	for i, r := range SolveShards(s, shards, workers) {
-		c := shardChain[i]
-		if r.Err == nil {
-			if v := Verify(plan.Models[c], nil, r.Result.Blocks); !v.Feasible {
-				r.Err = ErrUnverified
-				r.Result = nil
-			}
-		}
-		plan.Results[c] = r
+		plan.Results[shardChain[i]] = r
 	}
 	return plan
 }

@@ -1,25 +1,18 @@
 // Package solve puts Algorithm 1 — minimum block sizes under the Eq. 6
-// throughput constraints — behind a Solver interface so the control planes
-// (internal/admission per chain, internal/cluster fleet-wide) can pick a
-// decision procedure by scale without changing their guarantees:
+// throughput constraints — behind a Solver interface for the control
+// planes (internal/admission per chain, internal/cluster fleet-wide):
 //
-//   - Exact is the existing big.Rat path (budgeted ILP branch-and-bound with
-//     the warm-started Kleene fixed point as fallback), moved behind the
-//     interface with unchanged semantics. Every number it touches is an
-//     exact rational; it is the reference all other solvers answer to.
-//   - Fast is the float64 path: a revised simplex over the LP relaxation
-//     seeds a rounding heuristic for the integer block-size variables, and a
-//     float Kleene iteration polishes the rounded point to a fixed point.
-//     Its candidate plan is ALWAYS re-verified exactly with big.Rat
-//     arithmetic (Verify) before acceptance — verify-don't-trust: the
-//     real-time guarantee never rests on floating point. On verification
-//     failure it falls back to the exact path.
+//   - Exact is the one online solver. It calls the exact kernel
+//     core.(*System).SolveBlockSizes: a closed-form start and a Kleene
+//     iteration on T = Σηs in big.Int arithmetic. There is no float, no
+//     simplex and no ILP on the online path; the paper's literal ILP
+//     (core.ComputeBlockSizesILP) stays as the E4/A4 reproduction and the
+//     test oracle.
 //   - Incremental is the warm-start layer promoted out of admission: it
 //     derives a sound warm start from the previously committed assignment
 //     (reuse after additions, cold restart after removals) and delegates.
-//   - Tiered routes small instances to Exact (true ILP optimality, byte-
-//     stable campaign verdicts) and large ones to Fast — the shape that
-//     survives thousands of streams.
+//   - Verify is the exact acceptance check of any candidate assignment,
+//     built on the kernel's operator.
 //
 // SolveShards solves independent per-chain problems concurrently with a
 // deterministic merge, and Fits/PlanPlacement are the cheap feasibility
@@ -31,9 +24,7 @@
 package solve
 
 import (
-	"errors"
 	"fmt"
-	"math/big"
 
 	"accelshare/internal/core"
 )
@@ -58,9 +49,10 @@ type Problem struct {
 	// The Incremental layer turns it into a sound warm start when the new
 	// stream set only adds streams; other solvers ignore it.
 	Prev []Assignment
-	// Start, when non-nil, positionally seeds the fixed-point iteration.
-	// It MUST be componentwise ≤ the least fixed point (see
-	// core.ComputeBlockSizesWarm); most callers leave it nil and set Prev.
+	// Start, when non-nil, is a positional floor for the answer (see
+	// core.(*System).SolveBlockSizes). Componentwise ≤ the least fixed
+	// point, it only speeds the solve up; most callers leave it nil and
+	// set Prev.
 	Start []int64
 }
 
@@ -69,11 +61,11 @@ type Path string
 
 // Solver paths.
 const (
-	// PathILP: the exact branch-and-bound over the rational LP relaxation.
-	PathILP Path = "ilp"
-	// PathWarm: the exact warm-started Kleene fixed point.
+	// PathWarm: the exact kernel. Every Result carries it.
 	PathWarm Path = "warm"
-	// PathFloat: the float64 fast path, exactly re-verified.
+	// Deprecated: no solver returns PathILP; the online ILP is gone.
+	PathILP Path = "ilp"
+	// Deprecated: no solver returns PathFloat; the float tier is gone.
 	PathFloat Path = "float"
 )
 
@@ -83,14 +75,10 @@ type Result struct {
 	Blocks []int64
 	// Total is Σ ηs, Algorithm 1's objective.
 	Total int64
-	// Rounds counts fixed-point iterations (0 for the ILP path).
+	// Rounds counts the kernel's rounds.
 	Rounds int
 	// Path names the procedure that produced the assignment.
 	Path Path
-	// Verified is true when the assignment passed exact big.Rat
-	// verification. The exact paths are verified by construction; the fast
-	// path sets it only after Verify accepted the plan.
-	Verified bool
 }
 
 // Solver is one Algorithm 1 decision procedure. Implementations must be
@@ -99,10 +87,6 @@ type Solver interface {
 	Name() string
 	Solve(p *Problem) (*Result, error)
 }
-
-// ErrUnverified is returned by Fast (with no fallback configured) when the
-// float candidate fails exact verification.
-var ErrUnverified = errors.New("solve: fast-path plan failed exact verification")
 
 // validate checks the problem shape shared by every solver.
 func (p *Problem) validate() error {
@@ -119,76 +103,7 @@ func (p *Problem) validate() error {
 	return nil
 }
 
-// granAt returns the effective granularity of stream i.
-func (p *Problem) granAt(i int) int64 {
-	if p.Granularity == nil || p.Granularity[i] < 1 {
-		return 1
-	}
-	return p.Granularity[i]
-}
-
-// plain reports whether every granularity is 1 (the ILP handles only the
-// unconstrained integer problem).
-func (p *Problem) plain() bool {
-	for i := range p.Model.Streams {
-		if p.granAt(i) > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// roundUpTo rounds v up to the next multiple of g (g ≤ 1 is identity).
-func roundUpTo(v, g int64) int64 {
-	if g <= 1 {
-		return v
-	}
-	if rem := v % g; rem != 0 {
-		v += g - rem
-	}
-	return v
-}
-
-// ratCeilInt64 returns ⌈r⌉ for a non-negative rational.
-func ratCeilInt64(r *big.Rat) int64 {
-	q := new(big.Int).Div(r.Num(), r.Denom())
-	if !r.IsInt() {
-		q.Add(q, big.NewInt(1))
-	}
-	return q.Int64()
-}
-
-// applyOperator applies the granularity-rounded Algorithm 1 operator
-//
-//	F(η)_s = roundUp(max(1, ⌈μs·(c1 + c0·Σ_i(ηi+2))⌉), g_s)
-//
-// once, with exact big.Rat arithmetic. An assignment is feasible iff
-// η ≥ F(η) componentwise; the least fixed point is the optimum.
-func applyOperator(m *core.System, granularity, blocks []int64) []int64 {
-	c0 := new(big.Rat).SetInt64(int64(m.Chain.C0()))
-	c1 := new(big.Rat).SetInt64(int64(m.C1()))
-	sum := new(big.Rat)
-	for _, b := range blocks {
-		sum.Add(sum, new(big.Rat).SetInt64(b+2))
-	}
-	base := new(big.Rat).Add(c1, new(big.Rat).Mul(c0, sum))
-	out := make([]int64, len(blocks))
-	for i := range m.Streams {
-		rhs := new(big.Rat).Mul(base, m.RatePerCycle(i))
-		v := ratCeilInt64(rhs)
-		if v < 1 {
-			v = 1
-		}
-		g := int64(1)
-		if granularity != nil && i < len(granularity) {
-			g = granularity[i]
-		}
-		out[i] = roundUpTo(v, g)
-	}
-	return out
-}
-
-// Verification is the outcome of one exact big.Rat check of a candidate
+// Verification is the outcome of one exact check of a candidate
 // assignment against the Algorithm 1 operator.
 type Verification struct {
 	// Feasible: every stream satisfies Eq. 6 (η ≥ F(η) componentwise) and
@@ -202,9 +117,10 @@ type Verification struct {
 	Detail string
 }
 
-// Verify checks a candidate assignment with exact big.Rat arithmetic. This
-// is the verify-don't-trust step: no float value from the fast path reaches
-// a guarantee without passing through it.
+// Verify checks a candidate assignment exactly against the kernel's
+// operator (core.(*System).BlockOperator), so an assignment from any
+// source — a test oracle, a migrated configuration — is judged by the same
+// arithmetic the solver uses.
 func Verify(m *core.System, granularity, blocks []int64) Verification {
 	if len(blocks) != len(m.Streams) {
 		return Verification{Detail: fmt.Sprintf("%d blocks for %d streams", len(blocks), len(m.Streams))}
@@ -219,7 +135,10 @@ func Verify(m *core.System, granularity, blocks []int64) Verification {
 				m.Streams[i].Name, b, g)}
 		}
 	}
-	f := applyOperator(m, granularity, blocks)
+	f, err := m.BlockOperator(blocks, granularity)
+	if err != nil {
+		return Verification{Detail: err.Error()}
+	}
 	tight := true
 	for i := range blocks {
 		if blocks[i] < f[i] {
@@ -234,45 +153,8 @@ func Verify(m *core.System, granularity, blocks []int64) Verification {
 }
 
 // Default is the production solver stack: the Incremental warm-start layer
-// over a Tiered router — Exact for instances up to DefaultExactMax streams
-// (true ILP optimality, byte-stable campaign verdicts), Fast with an Exact
-// fallback beyond. ilpNodes and warmRounds carry the caller's budgets
-// (0 = the respective defaults).
+// over Exact. Both parameters are ignored; they remain so older callers
+// still compile.
 func Default(ilpNodes, warmRounds int) Solver {
-	exact := &Exact{ILPNodes: ilpNodes, WarmRounds: warmRounds, ILPStreamCap: DefaultExactMax}
-	fast := &Fast{Rounds: warmRounds, Fallback: exact}
-	return &Incremental{Inner: &Tiered{ExactMax: DefaultExactMax, Exact: exact, Fast: fast}}
-}
-
-// DefaultExactMax is the stream count up to which the Default stack stays
-// on the exact path. Beyond it the dense rational tableau is the wrong
-// tool: one LP relaxation solve is Θ(n³) big.Rat pivots, while the float
-// fast path plus one O(n) exact verification pass keeps the guarantee at a
-// fraction of the cost.
-const DefaultExactMax = 24
-
-// Tiered routes a problem by instance size: Exact below or at ExactMax
-// streams, Fast above.
-type Tiered struct {
-	ExactMax int // 0 = DefaultExactMax
-	Exact    Solver
-	Fast     Solver
-}
-
-// Name identifies the router.
-func (t *Tiered) Name() string { return "tiered" }
-
-// Solve routes to the exact or fast solver by stream count.
-func (t *Tiered) Solve(p *Problem) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	max := t.ExactMax
-	if max <= 0 {
-		max = DefaultExactMax
-	}
-	if len(p.Model.Streams) <= max {
-		return t.Exact.Solve(p)
-	}
-	return t.Fast.Solve(p)
+	return &Incremental{Inner: &Exact{}}
 }

@@ -47,39 +47,93 @@ func mustSolve(t *testing.T, s Solver, p *Problem) *Result {
 	return res
 }
 
-func TestExactMatchesLegacyILP(t *testing.T) {
-	for _, n := range []int{1, 3, 8} {
-		sys := testSystem(n, 1, 8)
-		legacy, err := sys.ComputeBlockSizesILPBudget(0)
-		if err != nil {
-			t.Fatalf("legacy ILP n=%d: %v", n, err)
-		}
-		res := mustSolve(t, &Exact{}, &Problem{Model: sys})
-		if res.Path != PathILP {
-			t.Fatalf("n=%d: path %q, want ilp", n, res.Path)
-		}
-		if !reflect.DeepEqual(res.Blocks, legacy.Blocks) || res.Total != legacy.Total {
-			t.Fatalf("n=%d: exact %v (Σ=%d) != legacy %v (Σ=%d)",
-				n, res.Blocks, res.Total, legacy.Blocks, legacy.Total)
-		}
-		if !res.Verified {
-			t.Fatalf("n=%d: exact result not marked verified", n)
-		}
+// nearSaturationSystem is two streams at utilisation 0.999995: the cold
+// iteration needs millions of rounds, the ILP finds Σ = 4 799 976.
+func nearSaturationSystem() *core.System {
+	return &core.System{
+		Chain:   core.Chain{Name: "sat", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1, NICapacity: 2},
+		ClockHz: 1_000_000,
+		Streams: []core.Stream{
+			{Name: "a", Rate: big.NewRat(999_995, 2), Reconfig: 10},
+			{Name: "b", Rate: big.NewRat(999_995, 2), Reconfig: 10},
+		},
 	}
 }
 
-func TestExactStreamCapRoutesToFixedPoint(t *testing.T) {
-	sys := testSystem(6, 1, 8)
-	res := mustSolve(t, &Exact{ILPStreamCap: 4}, &Problem{Model: sys})
-	if res.Path != PathWarm {
-		t.Fatalf("path %q, want warm above the ILP stream cap", res.Path)
+// TestExactMatchesLegacyILP holds Exact, the one online solver, to the
+// paper's literal ILP on plain problems small enough for it, and to the
+// cold Kleene oracle on large and granular ones. Every answer must be
+// exact (Verify: feasible and tight) and carry PathWarm, whichever stack
+// runs it; infeasibility must agree with the oracle.
+func TestExactMatchesLegacyILP(t *testing.T) {
+	production := &Incremental{Inner: &Exact{}}
+	cases := []struct {
+		name      string
+		sys       *core.System
+		gran      []int64
+		solver    Solver
+		ilp       bool // oracle: the ILP; otherwise the cold fixed point
+		wantTotal int64
+	}{
+		{name: "plain_n1", sys: testSystem(1, 1, 8), ilp: true},
+		{name: "plain_n3", sys: testSystem(3, 1, 8), ilp: true},
+		{name: "plain_n8", sys: testSystem(8, 1, 8), ilp: true},
+		{name: "plain_n2_load1_6", sys: testSystem(2, 1, 6), ilp: true},
+		{name: "plain_n5_load1_6", sys: testSystem(5, 1, 6), ilp: true},
+		{name: "plain_n12_load1_6", sys: testSystem(12, 1, 6), ilp: true},
+		{name: "production_n4", sys: testSystem(4, 1, 8), solver: production, ilp: true},
+		{name: "plain_n6", sys: testSystem(6, 1, 8)},
+		{name: "production_n32", sys: testSystem(32, 1, 6), solver: production},
+		{name: "plain_n40", sys: testSystem(40, 1, 6)},
+		{name: "plain_n120", sys: testSystem(120, 1, 6)},
+		{name: "granular_n4", sys: testSystem(4, 1, 8), gran: []int64{4, 1, 8, 2}},
+		{name: "granular_n9", sys: testSystem(9, 1, 6), gran: []int64{1, 2, 4, 8, 1, 3, 5, 1, 2}},
+		{name: "infeasible_n4", sys: testSystem(4, 2, 1), ilp: true}, // utilisation 8
+		{name: "infeasible_granular_n4", sys: testSystem(4, 2, 1), gran: []int64{8, 8, 8, 8}},
+		{name: "near_saturation", sys: nearSaturationSystem(), ilp: true, wantTotal: 4_799_976},
 	}
-	want, err := sys.ComputeBlockSizesFixedPoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Blocks, want.Blocks) {
-		t.Fatalf("capped exact %v != fixed point %v", res.Blocks, want.Blocks)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var want []int64
+			var wantErr error
+			if c.ilp {
+				var res *core.BlockSizeResult
+				if res, wantErr = c.sys.ComputeBlockSizesILP(); wantErr == nil {
+					want = res.Blocks
+				}
+			} else {
+				want, wantErr = coldFixedPoint(c.sys, c.gran, 100_000)
+			}
+			if wantErr != nil && !errors.Is(wantErr, core.ErrInfeasible) {
+				t.Fatalf("oracle: %v", wantErr)
+			}
+			s := c.solver
+			if s == nil {
+				s = &Exact{}
+			}
+			res, err := s.Solve(&Problem{Model: c.sys, Granularity: c.gran})
+			if wantErr != nil {
+				if !errors.Is(err, core.ErrInfeasible) {
+					t.Fatalf("err = %v, oracle says infeasible", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+			if !reflect.DeepEqual(res.Blocks, want) {
+				t.Fatalf("%s %v (Σ=%d) != oracle %v", s.Name(), res.Blocks, res.Total, want)
+			}
+			if c.wantTotal != 0 && res.Total != c.wantTotal {
+				t.Fatalf("Σ = %d, want %d", res.Total, c.wantTotal)
+			}
+			if res.Path != PathWarm {
+				t.Fatalf("path %q, want %q", res.Path, PathWarm)
+			}
+			if v := Verify(c.sys, c.gran, res.Blocks); !v.Feasible || !v.Tight {
+				t.Fatalf("result fails Verify: %+v", v)
+			}
+		})
 	}
 }
 
@@ -100,69 +154,33 @@ func TestExactGranularityUsesWarmPath(t *testing.T) {
 	}
 }
 
-func TestFastMatchesExact(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 12, 40, 120} {
-		sys := testSystem(n, 1, 6)
-		exact := mustSolve(t, &Exact{ILPStreamCap: 16}, &Problem{Model: sys})
-		fast := mustSolve(t, &Fast{}, &Problem{Model: sys})
-		if fast.Path != PathFloat {
-			t.Fatalf("n=%d: path %q, want float", n, fast.Path)
-		}
-		if !fast.Verified {
-			t.Fatalf("n=%d: fast result not verified", n)
-		}
-		if v := Verify(sys, nil, fast.Blocks); !v.Feasible || !v.Tight {
-			t.Fatalf("n=%d: fast plan fails exact verification: %+v", n, v)
-		}
-		if !reflect.DeepEqual(fast.Blocks, exact.Blocks) {
-			t.Fatalf("n=%d: fast %v != exact %v", n, fast.Blocks, exact.Blocks)
-		}
-	}
-}
-
-func TestFastGranularity(t *testing.T) {
-	sys := testSystem(9, 1, 6)
-	gran := []int64{1, 2, 4, 8, 1, 3, 5, 1, 2}
-	fast := mustSolve(t, &Fast{}, &Problem{Model: sys, Granularity: gran})
-	want, err := sys.ComputeBlockSizesWarm(nil, gran, 0)
+// TestFastBudgetExhaustionFallsBack: this instance once ran the float tier
+// out of rounds and forced its fallback. The deprecated Fast shim now runs
+// the exact kernel, so there is no float budget to exhaust: with or without
+// a Fallback it returns the cold least fixed point on the exact path.
+func TestFastBudgetExhaustionFallsBack(t *testing.T) {
+	sys := testSystem(10, 1, 6)
+	want, err := coldFixedPoint(sys, nil, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fast.Blocks, want.Blocks) {
-		t.Fatalf("fast granular %v != exact %v", fast.Blocks, want.Blocks)
-	}
-	if v := Verify(sys, gran, fast.Blocks); !v.Feasible || !v.Tight {
-		t.Fatalf("fast granular plan fails verification: %+v", v)
-	}
-}
-
-func TestFastInfeasibleMatchesExact(t *testing.T) {
-	sys := testSystem(4, 2, 1) // utilisation 8 ≥ 1
-	if _, err := (&Exact{}).Solve(&Problem{Model: sys}); !errors.Is(err, core.ErrInfeasible) {
-		t.Fatalf("exact err = %v, want ErrInfeasible", err)
-	}
-	if _, err := (&Fast{}).Solve(&Problem{Model: sys}); !errors.Is(err, core.ErrInfeasible) {
-		t.Fatalf("fast err = %v, want ErrInfeasible", err)
-	}
-}
-
-func TestFastBudgetExhaustionFallsBack(t *testing.T) {
-	sys := testSystem(10, 1, 6)
-	// One round is never enough to reach the fixed point from ones, so the
-	// float iteration reports non-convergence.
-	if _, err := (&Fast{Rounds: 1}).Solve(&Problem{Model: sys}); !errors.Is(err, ErrUnverified) {
-		t.Fatalf("err = %v, want ErrUnverified with no fallback", err)
-	}
-	res := mustSolve(t, &Fast{Rounds: 1, Fallback: &Exact{}}, &Problem{Model: sys})
-	if res.Path != PathILP && res.Path != PathWarm {
-		t.Fatalf("fallback path %q, want an exact path", res.Path)
+	for _, f := range []*Fast{{}, {Fallback: &Exact{}}} {
+		res := mustSolve(t, f, &Problem{Model: sys})
+		if res.Path != PathWarm {
+			t.Fatalf("Fast%+v path %q, want %q", *f, res.Path, PathWarm)
+		}
+		if !reflect.DeepEqual(res.Blocks, want) {
+			t.Fatalf("Fast%+v blocks %v, cold oracle %v", *f, res.Blocks, want)
+		}
+		if v := Verify(sys, nil, res.Blocks); !v.Feasible || !v.Tight {
+			t.Fatalf("Fast%+v result fails Verify: %+v", *f, v)
+		}
 	}
 }
 
 func TestIncrementalWarmStart(t *testing.T) {
 	sys := testSystem(8, 1, 6)
-	inner := &Exact{ILPStreamCap: 1} // force the warm fixed-point path
-	w := &Incremental{Inner: inner}
+	w := &Incremental{Inner: &Exact{}}
 
 	cold := mustSolve(t, w, &Problem{Model: sys})
 	prev := make([]Assignment, len(sys.Streams))
@@ -194,23 +212,6 @@ func TestIncrementalWarmStart(t *testing.T) {
 	coldShrunk := mustSolve(t, w, &Problem{Model: shrunk})
 	if !reflect.DeepEqual(after.Blocks, coldShrunk.Blocks) {
 		t.Fatalf("post-removal %v != cold %v", after.Blocks, coldShrunk.Blocks)
-	}
-}
-
-func TestTieredRouting(t *testing.T) {
-	s := Default(0, 0)
-	small := testSystem(4, 1, 8)
-	res := mustSolve(t, s, &Problem{Model: small})
-	if res.Path != PathILP {
-		t.Fatalf("small instance path %q, want ilp", res.Path)
-	}
-	large := testSystem(DefaultExactMax+8, 1, 6)
-	res = mustSolve(t, s, &Problem{Model: large})
-	if res.Path != PathFloat {
-		t.Fatalf("large instance path %q, want float", res.Path)
-	}
-	if v := Verify(large, nil, res.Blocks); !v.Feasible {
-		t.Fatalf("large instance plan infeasible: %+v", v)
 	}
 }
 
@@ -308,7 +309,7 @@ func TestPlanPlacement(t *testing.T) {
 		{Name: "p1", Rate: big.NewRat(1_000_000, 500), Reconfig: 40},
 		{Name: "p2", Rate: big.NewRat(2_000_000, 1), Reconfig: 40}, // fits nowhere
 	}
-	plan := PlanPlacement(Default(0, 0), []*core.System{chainA, chainB}, streams, 2)
+	plan := PlanPlacement(&Incremental{Inner: &Exact{}}, []*core.System{chainA, chainB}, streams, 2)
 	if plan.ChainOf[2] != -1 {
 		t.Fatalf("oversized stream placed on chain %d", plan.ChainOf[2])
 	}
@@ -335,12 +336,32 @@ func TestPlanPlacement(t *testing.T) {
 func TestSolverDoesNotMutateModel(t *testing.T) {
 	sys := testSystem(5, 1, 8)
 	before := sys.Clone()
-	for _, s := range []Solver{&Exact{}, &Fast{}, Default(0, 0)} {
+	for _, s := range []Solver{&Exact{}, &Incremental{Inner: &Exact{}}} {
 		if _, err := s.Solve(&Problem{Model: sys}); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		if !reflect.DeepEqual(sys, before) {
 			t.Fatalf("%s mutated the model", s.Name())
 		}
+	}
+}
+
+// TestPlanPlacementNearSaturation: placing two streams that bring an empty
+// chain to utilisation 0.999995 re-solves that shard to the ILP's
+// Σ = 4 799 976 instead of giving up on a round budget.
+func TestPlanPlacementNearSaturation(t *testing.T) {
+	sat := nearSaturationSystem()
+	empty := sat.Clone()
+	empty.Streams = nil
+	plan := PlanPlacement(&Incremental{Inner: &Exact{}}, []*core.System{empty}, sat.Streams, 1)
+	if plan.ChainOf[0] != 0 || plan.ChainOf[1] != 0 {
+		t.Fatalf("placement %v, want both streams on chain 0", plan.ChainOf)
+	}
+	r := plan.Results[0]
+	if r.Err != nil {
+		t.Fatalf("shard solve: %v", r.Err)
+	}
+	if r.Result.Total != 4_799_976 {
+		t.Fatalf("shard Σ = %d (%v), want 4799976", r.Result.Total, r.Result.Blocks)
 	}
 }

@@ -2,9 +2,8 @@ package solve
 
 // Incremental is the warm-start layer promoted out of internal/admission:
 // it derives a sound Start vector from the previously committed assignment
-// (Problem.Prev) and delegates to Inner. Soundness follows the same
-// argument as core.ComputeBlockSizesWarm: when the new stream set only
-// ADDS streams, the Algorithm 1 operator grows pointwise, so the old least
+// (Problem.Prev) and delegates to Inner. Soundness: when the new stream
+// set only ADDS streams, the Algorithm 1 operator grows pointwise, so the old least
 // fixed point is still ≤ the new one componentwise and each surviving
 // stream's old block seeds the iteration correctly (newcomers start at 1).
 // After a removal the least fixed point SHRINKS, so any reuse of old blocks
