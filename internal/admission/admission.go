@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"accelshare/internal/accel"
@@ -399,12 +400,6 @@ func (c *Controller) solve(model *core.System, granularity []int64) (*solve.Resu
 	return c.solver.Solve(&solve.Problem{Model: model, Granularity: granularity, Prev: prev})
 }
 
-// verdictSolver fills a verdict's solver-provenance fields from a result.
-func verdictSolver(v *Verdict, res *solve.Result) {
-	v.SolverPath = res.Path
-	v.SolveRounds = res.Rounds
-}
-
 // checkBuffers verifies every candidate stream's C-FIFOs against the
 // bounds its new ηs implies: the input FIFO must hold one claimed block
 // plus a worst-case service interval of arrivals (InputBufferBound), the
@@ -439,13 +434,8 @@ func checkBuffers(model *core.System, decim []int64, caps [][2]int) (string, err
 // that block also pays its interior quiesces), then the bus transaction
 // reprograms `slots` slots.
 func (c *Controller) transitionBound(slots int) uint64 {
-	var maxTau uint64
-	for i := range c.model.Streams {
-		if t, err := c.model.TauHatCheckpointed(i, c.cfg.Checkpoint, uint64(c.cfg.CheckpointCost)); err == nil && t > maxTau {
-			maxTau = t
-		}
-	}
-	return maxTau + uint64(c.cfg.PerSlotCost)*uint64(slots)
+	return c.model.MaxTauHatCheckpointed(c.cfg.Checkpoint, uint64(c.cfg.CheckpointCost)) +
+		uint64(c.cfg.PerSlotCost)*uint64(slots)
 }
 
 // rejectReason maps a solver error to a verdict reason.
@@ -460,6 +450,201 @@ func rejectReason(err error) (Reason, string) {
 	}
 }
 
+// ready rejects a request, busy, while a transition or a canary probe is in
+// flight: a canary outcome may roll the model back to the assignment it
+// captured at readmission time, and a request decided now would invalidate
+// it. It reports whether the request may proceed.
+func (c *Controller) ready(kind EventKind, name string, done func(Verdict)) bool {
+	switch {
+	case c.busy:
+		c.reject(kind, name, ReasonBusy, "another transition is in flight", done)
+	case c.pendingCanary != nil && kind == EvReadmit:
+		c.reject(kind, name, ReasonBusy, "a canary probe is already in flight", done)
+	case c.pendingCanary != nil:
+		c.reject(kind, name, ReasonBusy, "a canary probe is in flight", done)
+	default:
+		return true
+	}
+	return false
+}
+
+// transition is the part of a staged mode transition that differs between
+// its kinds; stage runs the protocol around it.
+type transition struct {
+	// kind is recorded on commit and, unless failKind is set, on rejection.
+	kind, failKind EventKind
+	stream         string
+	v              Verdict
+	done           func(Verdict)
+	// apply runs at the block boundary once the stream set is known to be
+	// unchanged: it attaches, imports or suspends and returns the slot
+	// updates of the bus transaction. On error it must leave nothing behind.
+	apply func() ([]gateway.SlotUpdate, error)
+	// commit installs the new configuration once the platform runs it.
+	commit func()
+	// undo, if set, cleans up after a successful apply when the bus refuses
+	// the updates, and returns a suffix for the rejection detail.
+	undo func() string
+}
+
+// stage runs one staged mode transition: pause arbitration at the next
+// block boundary; abort, superseded, if a quarantine changed the stream
+// set during the drain (the decision's solved blocks and slot map are
+// stale — and nothing has been attached or imported yet, so the caller can
+// re-issue the request); apply and program the slots over the
+// configuration bus; resume; commit. Every exit releases busy and lands in
+// the event log.
+func (c *Controller) stage(t *transition) {
+	fail := func(reason Reason, detail string) {
+		c.busy = false
+		kind := t.kind
+		if t.failKind != "" {
+			kind = t.failKind
+		}
+		c.reject(kind, t.stream, reason, detail, t.done)
+	}
+	c.busy = true
+	gen := c.gen
+	requested := c.now()
+	pair := c.chain().Pair
+	err := pair.RequestPause(func() {
+		if c.gen != gen {
+			pair.Resume()
+			fail(ReasonSuperseded, "stream set changed during drain")
+			return
+		}
+		t.v.PauseWait = c.now() - requested
+		updates, err := t.apply()
+		if err != nil {
+			pair.Resume()
+			fail(ReasonBadRequest, err.Error())
+			return
+		}
+		t.v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
+		err = pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
+			pair.Resume()
+			t.commit()
+			c.gen++
+			c.busy = false
+			// The log keeps its own copy: a pointer into t would retain the
+			// transition's closures and candidate state for the log's life.
+			v := t.v
+			c.record(t.kind, t.stream, &v)
+			if t.done != nil {
+				t.done(v)
+			}
+		})
+		if err != nil {
+			detail := err.Error()
+			if t.undo != nil {
+				detail += t.undo()
+			}
+			pair.Resume()
+			fail(ReasonBadRequest, detail)
+		}
+	})
+	if err != nil {
+		fail(ReasonBusy, err.Error())
+	}
+}
+
+// growth is an accepted decision to grow the live set by one stream
+// (AddStream, Readmit, AdmitMigrated): the candidate model at its new ηs,
+// its granularities and the verdict.
+type growth struct {
+	model *core.System
+	decim []int64
+	v     Verdict
+}
+
+// grow decides whether the live set plus s is admissible. Adding a stream
+// grows Algorithm 1's operator pointwise, so the running assignment (passed
+// as Problem.Prev by solve) is below the new least fixed point and the
+// solver stack warm-starts from it. A migrated stream floors its ηs at
+// minBlock (see MigrateRequest.MinBlock). Every C-FIFO is then checked
+// against the bounds the new ηs imply; caps is the new stream's (in, out)
+// capacity pair. A rejection is recorded and grow returns nil.
+func (c *Controller) grow(kind EventKind, s core.Stream, decimation, minBlock int64, caps [2]int, done func(Verdict)) *growth {
+	cand := c.model.Clone()
+	cand.Streams = append(cand.Streams, s)
+	granularity := append(append([]int64(nil), c.decim...), decimation)
+	res, err := c.solve(cand, granularity)
+	if err != nil {
+		reason, detail := rejectReason(err)
+		c.reject(kind, s.Name, reason, detail, done)
+		return nil
+	}
+	blocks := res.Blocks
+	for i, b := range blocks {
+		cand.Streams[i].Block = b
+	}
+	if last := len(blocks) - 1; blocks[last] < minBlock {
+		// Growth above the least fixed point is not automatically feasible:
+		// round the floor up to a decimation multiple and verify exactly.
+		b := minBlock
+		if rem := b % decimation; rem != 0 {
+			b += decimation - rem
+		}
+		blocks = append([]int64(nil), blocks...)
+		blocks[last] = b
+		cand.Streams[last].Block = b
+		if !solve.Verify(cand, granularity, blocks).Feasible {
+			c.reject(kind, s.Name, ReasonInfeasible,
+				fmt.Sprintf("replay residue floors eta at %d, infeasible alongside the survivors", b), done)
+			return nil
+		}
+	}
+	if detail, err := checkBuffers(cand, granularity, append(c.liveCaps(), caps)); err != nil {
+		c.reject(kind, s.Name, ReasonBadRequest, err.Error(), done)
+		return nil
+	} else if detail != "" {
+		c.reject(kind, s.Name, ReasonBufferBound, detail, done)
+		return nil
+	}
+	return &growth{model: cand, decim: granularity, v: Verdict{
+		Accepted:    true,
+		Reason:      ReasonAdmitted,
+		Blocks:      assignment(cand, blocks),
+		SolverPath:  res.Path,
+		SolveRounds: res.Rounds,
+		BoundCycles: c.transitionBound(len(cand.Streams)),
+	}}
+}
+
+// last returns the new stream's index in the candidate model.
+func (g *growth) last() int { return len(g.model.Streams) - 1 }
+
+// growthUpdates moves the survivors to the candidate's ηs and programs the
+// new stream's slot with its own ηs plus the added activation flags.
+func (c *Controller) growthUpdates(g *growth, added gateway.SlotUpdate) []gateway.SlotUpdate {
+	blocks := blocksOf(g.model)
+	added.SetBlock = blocks[g.last()]
+	added.SetOutBlock = added.SetBlock / g.decim[g.last()]
+	return append(slotUpdates(c.gwSlot, c.decim, blocks[:g.last()]), added)
+}
+
+// commitGrowth installs the candidate with the new stream at gateway slot.
+func (c *Controller) commitGrowth(g *growth, slot int) {
+	c.model = g.model
+	c.decim = g.decim
+	c.gwSlot = append(c.gwSlot, slot)
+}
+
+// parkGrown parks a growth's new stream that is already attached or
+// imported when the bus refuses the updates, so its name and slot stay
+// recoverable via Readmit instead of leaking an unaccounted slot. It
+// returns the rejection's detail suffix.
+func (c *Controller) parkGrown(g *growth, slot int) string {
+	s := g.model.Streams[g.last()]
+	c.parked[s.Name] = &parkedStream{
+		slot:       slot,
+		rate:       new(big.Rat).Set(s.Rate),
+		reconfig:   s.Reconfig,
+		decimation: g.decim[g.last()],
+	}
+	return "; stream parked, recover via readmit"
+}
+
 // AddStream requests admission of a new stream. The decision is made
 // immediately; when accepted, the staged transition (drain, attach +
 // reconfigure, resume) runs asynchronously and done fires with the final
@@ -467,14 +652,7 @@ func rejectReason(err error) (Reason, string) {
 // done fires immediately on rejection.
 func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 	name := req.Spec.Name
-	if c.busy {
-		c.reject(EvAdd, name, ReasonBusy, "another transition is in flight", done)
-		return
-	}
-	if c.pendingCanary != nil {
-		// A canary outcome may roll the model back to the assignment it
-		// captured at readmission time; admitting now would invalidate it.
-		c.reject(EvAdd, name, ReasonBusy, "a canary probe is in flight", done)
+	if !c.ready(EvAdd, name, done) {
 		return
 	}
 	if req.Rate == nil || req.Rate.Sign() <= 0 {
@@ -489,114 +667,38 @@ func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 		c.reject(EvAdd, name, ReasonNoSlot, "all reserved ring slots consumed", done)
 		return
 	}
-	decimation := req.Spec.Decimation
-	if decimation < 1 {
-		decimation = 1
-	}
-
-	// Candidate model: the live set plus the applicant.
-	cand := c.model.Clone()
-	cand.Streams = append(cand.Streams, core.Stream{
+	decimation := max(req.Spec.Decimation, 1)
+	g := c.grow(EvAdd, core.Stream{
 		Name:     name,
 		Rate:     new(big.Rat).Set(req.Rate),
 		Reconfig: uint64(req.Spec.Reconfig),
-	})
-	granularity := append(append([]int64(nil), c.decim...), decimation)
-	// Adding a stream grows Algorithm 1's operator pointwise, so the
-	// running assignment (passed as Problem.Prev by solve) is ≤ the new
-	// least fixed point: the solver stack warm-starts from it.
-	res, err := c.solve(cand, granularity)
-	if err != nil {
-		reason, detail := rejectReason(err)
-		c.reject(EvAdd, name, reason, detail, done)
+	}, decimation, 0, [2]int{req.Spec.InCapacity, req.Spec.OutCapacity}, done)
+	if g == nil {
 		return
 	}
-	for i, b := range res.Blocks {
-		cand.Streams[i].Block = b
-	}
-	caps := c.liveCaps()
-	caps = append(caps, [2]int{req.Spec.InCapacity, req.Spec.OutCapacity})
-	if detail, err := checkBuffers(cand, granularity, caps); err != nil {
-		c.reject(EvAdd, name, ReasonBadRequest, err.Error(), done)
-		return
-	} else if detail != "" {
-		c.reject(EvAdd, name, ReasonBufferBound, detail, done)
-		return
-	}
-
-	v := Verdict{
-		Accepted:    true,
-		Reason:      ReasonAdmitted,
-		Blocks:      assignment(cand, res.Blocks),
-		BoundCycles: c.transitionBound(len(cand.Streams)),
-	}
-	verdictSolver(&v, res)
 	spec := req.Spec
-	spec.Block = res.Blocks[len(res.Blocks)-1]
+	spec.Block = g.model.Streams[g.last()].Block
 	spec.Decimation = decimation
 	spec.StartSuspended = true
-
-	c.busy = true
-	gen := c.gen
-	requested := c.now()
-	pair := c.chain().Pair
-	err = pair.RequestPause(func() {
-		if c.gen != gen {
-			// A quarantine landed during the drain: cand, the solved
-			// blocks and the slot map are stale. Abort untouched.
-			pair.Resume()
-			c.busy = false
-			c.reject(EvAdd, name, ReasonSuperseded, "stream set changed during drain", done)
-			return
-		}
-		v.PauseWait = c.now() - requested
-		st, err := c.ms.AttachStream(c.ci, spec)
-		if err != nil {
-			pair.Resume()
-			c.busy = false
-			c.reject(EvAdd, name, ReasonBadRequest, err.Error(), done)
-			return
-		}
-		_ = st
-		newSlot := len(c.chain().Strs) - 1
-		updates := c.slotUpdates(cand, res.Blocks[:len(res.Blocks)-1])
-		updates = append(updates, gateway.SlotUpdate{Stream: newSlot, Activate: true})
-		v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err = pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
-			pair.Resume()
-			// Commit the model only now: the platform runs the new ηs.
-			c.model = cand
-			c.decim = granularity
-			c.gwSlot = append(c.gwSlot, newSlot)
-			c.gen++
-			c.busy = false
-			c.record(EvAdd, name, &v)
-			if done != nil {
-				done(v)
+	var slot int
+	c.stage(&transition{
+		kind: EvAdd, stream: name, v: g.v, done: done,
+		apply: func() ([]gateway.SlotUpdate, error) {
+			if _, err := c.ms.AttachStream(c.ci, spec); err != nil {
+				return nil, err
 			}
-		})
-		if err != nil {
-			// AttachStream already consumed the reserved ring slot and
-			// started the source; don't leak a producing orphan behind the
-			// rejection. The slot stays suspended (StartSuspended is
-			// forced), the source stops, and the stream is parked so the
-			// name and the consumed slot remain recoverable via Readmit.
-			c.chain().Strs[newSlot].StopSource()
-			c.parked[name] = &parkedStream{
-				slot:       newSlot,
-				rate:       new(big.Rat).Set(req.Rate),
-				reconfig:   uint64(req.Spec.Reconfig),
-				decimation: decimation,
-			}
-			pair.Resume()
-			c.busy = false
-			c.reject(EvAdd, name, ReasonBadRequest, err.Error()+"; stream parked, recover via readmit", done)
-		}
+			slot = len(c.chain().Strs) - 1
+			return c.growthUpdates(g, gateway.SlotUpdate{Stream: slot, Activate: true}), nil
+		},
+		commit: func() { c.commitGrowth(g, slot) },
+		undo: func() string {
+			// AttachStream consumed the reserved ring slot and started the
+			// source; the slot stays suspended (StartSuspended is forced)
+			// and the source stops, so no producing orphan is left behind.
+			c.chain().Strs[slot].StopSource()
+			return c.parkGrown(g, slot)
+		},
 	})
-	if err != nil {
-		c.busy = false
-		c.reject(EvAdd, name, ReasonBusy, err.Error(), done)
-	}
 }
 
 // liveCaps collects the (in, out) FIFO capacities of the live streams in
@@ -610,15 +712,15 @@ func (c *Controller) liveCaps() [][2]int {
 	return caps
 }
 
-// slotUpdates builds the SetBlock/SetOutBlock updates that move the live
-// streams (model order) to the given blocks.
-func (c *Controller) slotUpdates(model *core.System, blocks []int64) []gateway.SlotUpdate {
-	var ups []gateway.SlotUpdate
+// slotUpdates builds the SetBlock/SetOutBlock updates that move the streams
+// at the given gateway slots, with the given decimations, to blocks.
+func slotUpdates(slots []int, decim, blocks []int64) []gateway.SlotUpdate {
+	ups := make([]gateway.SlotUpdate, 0, len(blocks)+1)
 	for i, b := range blocks {
 		ups = append(ups, gateway.SlotUpdate{
-			Stream:      c.gwSlot[i],
+			Stream:      slots[i],
 			SetBlock:    b,
-			SetOutBlock: b / c.decim[i],
+			SetOutBlock: b / decim[i],
 		})
 	}
 	return ups
@@ -630,14 +732,7 @@ func (c *Controller) slotUpdates(model *core.System, blocks []int64) []gateway.S
 // minimal — and no longer a sound warm start). The stream is parked and
 // can come back via Readmit.
 func (c *Controller) RemoveStream(name string, done func(Verdict)) {
-	if c.busy {
-		c.reject(EvRemove, name, ReasonBusy, "another transition is in flight", done)
-		return
-	}
-	if c.pendingCanary != nil {
-		// A canary outcome may roll the model back to the assignment it
-		// captured at readmission time; removing now would invalidate it.
-		c.reject(EvRemove, name, ReasonBusy, "a canary probe is in flight", done)
+	if !c.ready(EvRemove, name, done) {
 		return
 	}
 	idx := c.modelIndex(name)
@@ -651,11 +746,9 @@ func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 	}
 	slot := c.gwSlot[idx]
 	cand := c.model.Clone()
-	cand.Streams = append(cand.Streams[:idx], cand.Streams[idx+1:]...)
-	granularity := append([]int64(nil), c.decim[:idx]...)
-	granularity = append(granularity, c.decim[idx+1:]...)
-	gwSlots := append([]int(nil), c.gwSlot[:idx]...)
-	gwSlots = append(gwSlots, c.gwSlot[idx+1:]...)
+	cand.Streams = slices.Delete(cand.Streams, idx, idx+1)
+	granularity := slices.Delete(slices.Clone(c.decim), idx, idx+1)
+	gwSlots := slices.Delete(slices.Clone(c.gwSlot), idx, idx+1)
 
 	// The removed stream is still in Prev but absent from cand, so the
 	// solver stack restarts cold — the shrunken least fixed point may lie
@@ -669,95 +762,68 @@ func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 	for i, b := range res.Blocks {
 		cand.Streams[i].Block = b
 	}
-	v := Verdict{
-		Accepted:    true,
-		Reason:      ReasonAdmitted,
-		Blocks:      assignment(cand, res.Blocks),
-		BoundCycles: c.transitionBound(len(c.model.Streams)),
-	}
-	verdictSolver(&v, res)
 	parked := &parkedStream{
 		slot:       slot,
 		rate:       new(big.Rat).Set(c.model.Streams[idx].Rate),
 		reconfig:   c.model.Streams[idx].Reconfig,
 		decimation: c.decim[idx],
 	}
-
-	c.busy = true
-	gen := c.gen
-	requested := c.now()
-	pair := c.chain().Pair
-	err = pair.RequestPause(func() {
-		if c.gen != gen {
-			// A quarantine landed during the drain: cand, the solved
-			// blocks and the captured slot map are stale. Abort untouched.
-			pair.Resume()
-			c.busy = false
-			c.reject(EvRemove, name, ReasonSuperseded, "stream set changed during drain", done)
-			return
-		}
-		v.PauseWait = c.now() - requested
-		prevSlots := c.gwSlot
-		c.gwSlot = gwSlots // slotUpdates addresses the survivor set
-		prevDecim := c.decim
-		c.decim = granularity
-		updates := c.slotUpdates(cand, res.Blocks)
-		updates = append(updates, gateway.SlotUpdate{Stream: slot, Suspend: true})
-		v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err := pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
-			pair.Resume()
+	c.stage(&transition{
+		kind: EvRemove, stream: name, done: done,
+		v: Verdict{
+			Accepted:    true,
+			Reason:      ReasonAdmitted,
+			Blocks:      assignment(cand, res.Blocks),
+			SolverPath:  res.Path,
+			SolveRounds: res.Rounds,
+			BoundCycles: c.transitionBound(len(c.model.Streams)),
+		},
+		apply: func() ([]gateway.SlotUpdate, error) {
+			return append(slotUpdates(gwSlots, granularity, res.Blocks),
+				gateway.SlotUpdate{Stream: slot, Suspend: true}), nil
+		},
+		commit: func() {
 			c.chain().Strs[slot].StopSource()
 			c.model = cand
+			c.decim = granularity
+			c.gwSlot = gwSlots
 			c.parked[name] = parked
-			c.gen++
-			c.busy = false
-			c.record(EvRemove, name, &v)
-			if done != nil {
-				done(v)
-			}
-		})
-		if err != nil {
-			c.gwSlot = prevSlots
-			c.decim = prevDecim
-			pair.Resume()
-			c.busy = false
-			c.reject(EvRemove, name, ReasonBadRequest, err.Error(), done)
-		}
+		},
 	})
-	if err != nil {
-		c.busy = false
-		c.reject(EvRemove, name, ReasonBusy, err.Error(), done)
+}
+
+// park moves live model stream i to the parked set as quarantined and
+// shrinks the model. The survivors keep their ηs — with one stream gone
+// every γ̂ only shrinks, so the running assignment stays feasible without a
+// transition. The generation bump invalidates any plan still draining.
+func (c *Controller) park(i int) {
+	c.parked[c.model.Streams[i].Name] = &parkedStream{
+		slot:        c.gwSlot[i],
+		rate:        new(big.Rat).Set(c.model.Streams[i].Rate),
+		reconfig:    c.model.Streams[i].Reconfig,
+		decimation:  c.decim[i],
+		quarantined: true,
 	}
+	c.model.Streams = append(c.model.Streams[:i], c.model.Streams[i+1:]...)
+	c.decim = append(c.decim[:i], c.decim[i+1:]...)
+	c.gwSlot = append(c.gwSlot[:i], c.gwSlot[i+1:]...)
+	c.gen++
 }
 
 // onQuarantine is the gateway's quarantine observer: the platform removed
 // the stream from arbitration on its own (fault recovery exhausted the
-// retry budget), so the controller parks it and shrinks the model. The
-// survivors keep their ηs — with one stream gone every γ̂ only shrinks, so
-// the running assignment stays feasible without a transition.
+// retry budget), so the controller parks it and shrinks the model.
 func (c *Controller) onQuarantine(slot int) {
-	for i, s := range c.gwSlot {
-		if s != slot {
-			continue
-		}
-		name := c.model.Streams[i].Name
-		if c.pendingCanary != nil && c.pendingCanary.name == name {
-			return // canary failure: onCanary handles the rollback
-		}
-		c.parked[name] = &parkedStream{
-			slot:        slot,
-			rate:        new(big.Rat).Set(c.model.Streams[i].Rate),
-			reconfig:    c.model.Streams[i].Reconfig,
-			decimation:  c.decim[i],
-			quarantined: true,
-		}
-		c.model.Streams = append(c.model.Streams[:i], c.model.Streams[i+1:]...)
-		c.decim = append(c.decim[:i], c.decim[i+1:]...)
-		c.gwSlot = append(c.gwSlot[:i], c.gwSlot[i+1:]...)
-		c.gen++ // invalidate any transition plan still draining
-		c.record(EvQuarantine, name, nil)
+	i := slices.Index(c.gwSlot, slot)
+	if i < 0 {
 		return
 	}
+	name := c.model.Streams[i].Name
+	if c.pendingCanary != nil && c.pendingCanary.name == name {
+		return // canary failure: onCanary handles the rollback
+	}
+	c.park(i)
+	c.record(EvQuarantine, name, nil)
 }
 
 // Readmit probes a parked (quarantined or removed) stream back into
@@ -767,12 +833,7 @@ func (c *Controller) onQuarantine(slot int) {
 // readmission, one stall re-quarantines it immediately and the controller
 // rolls the survivors back.
 func (c *Controller) Readmit(name string, done func(Verdict)) {
-	if c.busy {
-		c.reject(EvReadmit, name, ReasonBusy, "another transition is in flight", done)
-		return
-	}
-	if c.pendingCanary != nil {
-		c.reject(EvReadmit, name, ReasonBusy, "a canary probe is already in flight", done)
+	if !c.ready(EvReadmit, name, done) {
 		return
 	}
 	p := c.parked[name]
@@ -784,93 +845,36 @@ func (c *Controller) Readmit(name string, done func(Verdict)) {
 		}
 		return
 	}
-
-	cand := c.model.Clone()
-	cand.Streams = append(cand.Streams, core.Stream{
+	ch := c.chain()
+	g := c.grow(EvReadmit, core.Stream{
 		Name:     name,
 		Rate:     new(big.Rat).Set(p.rate),
 		Reconfig: p.reconfig,
-	})
-	granularity := append(append([]int64(nil), c.decim...), p.decimation)
-	res, err := c.solve(cand, granularity)
-	if err != nil {
-		reason, detail := rejectReason(err)
-		c.reject(EvReadmit, name, reason, detail, done)
+	}, p.decimation, 0, [2]int{ch.Strs[p.slot].In.Capacity(), ch.Strs[p.slot].Out.Capacity()}, done)
+	if g == nil {
 		return
 	}
-	for i, b := range res.Blocks {
-		cand.Streams[i].Block = b
-	}
-	ch := c.chain()
-	caps := c.liveCaps()
-	caps = append(caps, [2]int{ch.Strs[p.slot].In.Capacity(), ch.Strs[p.slot].Out.Capacity()})
-	if detail, err := checkBuffers(cand, granularity, caps); err != nil {
-		c.reject(EvReadmit, name, ReasonBadRequest, err.Error(), done)
-		return
-	} else if detail != "" {
-		c.reject(EvReadmit, name, ReasonBufferBound, detail, done)
-		return
-	}
-
-	v := Verdict{
-		Accepted:    true,
-		Reason:      ReasonAdmitted,
-		Blocks:      assignment(cand, res.Blocks),
-		BoundCycles: c.transitionBound(len(cand.Streams)),
-	}
-	verdictSolver(&v, res)
 	prev := assignment(c.model, blocksOf(c.model))
 	quarantined := p.quarantined
-
-	c.busy = true
-	gen := c.gen
-	requested := c.now()
-	pair := ch.Pair
-	err = pair.RequestPause(func() {
-		if c.gen != gen {
-			// A quarantine landed during the drain: cand, the solved
-			// blocks and the slot map are stale. Abort untouched.
-			pair.Resume()
-			c.busy = false
-			c.reject(EvReadmit, name, ReasonSuperseded, "stream set changed during drain", done)
-			return
-		}
-		v.PauseWait = c.now() - requested
-		updates := c.slotUpdates(cand, res.Blocks[:len(res.Blocks)-1])
-		if quarantined {
-			updates = append(updates, gateway.SlotUpdate{Stream: p.slot, Unquarantine: true, Probation: true})
-		} else {
-			updates = append(updates, gateway.SlotUpdate{Stream: p.slot, Activate: true, Probation: true})
-		}
-		v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err := pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
-			pair.Resume()
+	c.stage(&transition{
+		kind: EvReadmit, stream: name, v: g.v, done: done,
+		apply: func() ([]gateway.SlotUpdate, error) {
+			added := gateway.SlotUpdate{Stream: p.slot, Activate: true, Probation: true}
+			if quarantined {
+				added = gateway.SlotUpdate{Stream: p.slot, Unquarantine: true, Probation: true}
+			}
+			return c.growthUpdates(g, added), nil
+		},
+		commit: func() {
 			if !quarantined {
 				// A removed stream's source was stopped; restart it.
 				c.ms.ResumeSource(c.ci, p.slot)
 			}
-			c.model = cand
-			c.decim = granularity
-			c.gwSlot = append(c.gwSlot, p.slot)
-			c.gen++
+			c.commitGrowth(g, p.slot)
 			delete(c.parked, name)
 			c.pendingCanary = &canaryProbe{name: name, slot: p.slot, prev: prev}
-			c.busy = false
-			c.record(EvReadmit, name, &v)
-			if done != nil {
-				done(v)
-			}
-		})
-		if err != nil {
-			pair.Resume()
-			c.busy = false
-			c.reject(EvReadmit, name, ReasonBadRequest, err.Error(), done)
-		}
+		},
 	})
-	if err != nil {
-		c.busy = false
-		c.reject(EvReadmit, name, ReasonBusy, err.Error(), done)
-	}
 }
 
 func blocksOf(model *core.System) []int64 {
@@ -896,44 +900,29 @@ func (c *Controller) onCanary(slot int, ok bool) {
 		return
 	}
 	c.record(EvCanaryFail, p.name, nil)
-	// The gateway re-quarantined the slot; shrink the model again.
 	idx := c.modelIndex(p.name)
 	if idx < 0 {
 		return
 	}
-	c.parked[p.name] = &parkedStream{
-		slot:        slot,
-		rate:        new(big.Rat).Set(c.model.Streams[idx].Rate),
-		reconfig:    c.model.Streams[idx].Reconfig,
-		decimation:  c.decim[idx],
-		quarantined: true,
-	}
-	c.model.Streams = append(c.model.Streams[:idx], c.model.Streams[idx+1:]...)
-	c.decim = append(c.decim[:idx], c.decim[idx+1:]...)
-	c.gwSlot = append(c.gwSlot[:idx], c.gwSlot[idx+1:]...)
-	c.gen++
+	c.park(idx)
 	// Roll the survivors back to the assignment that held before the
 	// failed readmission (it was feasible then; with the probed stream
 	// gone again it is feasible now). If the rollback cannot be applied,
 	// the survivors keep the readmission ηs — feasible for the larger set,
 	// hence still safe, just not minimal — and the dropped rollback is
 	// recorded as a rollback-failed event rather than lost silently.
-	rollbackFailed := func(reason Reason, detail string) {
-		c.record(EvRollbackFail, p.name, &Verdict{Accepted: false, Reason: reason, Detail: detail})
-	}
 	if c.busy {
 		// Unreachable while requests are gated on pendingCanary, but never
 		// clobber another transition's busy gate.
-		rollbackFailed(ReasonBusy, "another transition is in flight")
+		c.reject(EvRollbackFail, p.name, ReasonBusy, "another transition is in flight", nil)
 		return
 	}
 	// Map prev onto the current model by name: a survivor can itself have
 	// been quarantined while the canary was pending, so prev's length and
 	// order need not match the model any more. Streams without a prev
 	// entry keep their current (feasible-for-a-larger-set) block.
-	blocks := make([]int64, len(c.model.Streams))
+	blocks := blocksOf(c.model)
 	for i := range c.model.Streams {
-		blocks[i] = c.model.Streams[i].Block
 		for _, a := range p.prev {
 			if a.Name == c.model.Streams[i].Name {
 				blocks[i] = a.Block
@@ -941,47 +930,23 @@ func (c *Controller) onCanary(slot int, ok bool) {
 			}
 		}
 	}
-	v := Verdict{
-		Accepted:    true,
-		Reason:      ReasonAdmitted,
-		Blocks:      assignment(c.model, blocks),
-		BoundCycles: c.transitionBound(len(blocks)),
-	}
-	c.busy = true
-	gen := c.gen
-	requested := c.now()
-	pair := c.chain().Pair
-	err := pair.RequestPause(func() {
-		if c.gen != gen {
-			// Another quarantine landed during the rollback drain: blocks
-			// no longer line up with the model. Abort untouched.
-			pair.Resume()
-			c.busy = false
-			rollbackFailed(ReasonSuperseded, "stream set changed during drain")
-			return
-		}
-		v.PauseWait = c.now() - requested
-		updates := c.slotUpdates(c.model, blocks)
-		v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err := pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
-			pair.Resume()
+	c.stage(&transition{
+		kind: EvRollback, failKind: EvRollbackFail, stream: p.name,
+		v: Verdict{
+			Accepted:    true,
+			Reason:      ReasonAdmitted,
+			Blocks:      assignment(c.model, blocks),
+			BoundCycles: c.transitionBound(len(blocks)),
+		},
+		apply: func() ([]gateway.SlotUpdate, error) {
+			return slotUpdates(c.gwSlot, c.decim, blocks), nil
+		},
+		commit: func() {
 			for i := range c.model.Streams {
 				c.model.Streams[i].Block = blocks[i]
 			}
-			c.gen++
-			c.busy = false
-			c.record(EvRollback, p.name, &v)
-		})
-		if err != nil {
-			pair.Resume()
-			c.busy = false
-			rollbackFailed(ReasonBadRequest, err.Error())
-		}
+		},
 	})
-	if err != nil {
-		c.busy = false
-		rollbackFailed(ReasonBusy, err.Error())
-	}
 }
 
 // Retarget re-attaches the controller to another chain after a failover

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,7 +63,13 @@ type bed struct {
 // buildBed assembles the running 4-stream platform plus its controller.
 func buildBed(t *testing.T, faults *fault.Plan, reserve, inCap int) *bed {
 	t.Helper()
-	rate := big.NewRat(1, period)
+	return buildBedAt(t, faults, reserve, inCap, period)
+}
+
+// buildBedAt is buildBed with every stream's sample period set to srcPeriod.
+func buildBedAt(t *testing.T, faults *fault.Plan, reserve, inCap int, srcPeriod int64) *bed {
+	t.Helper()
+	rate := big.NewRat(1, srcPeriod)
 	model := demoModel(
 		[]string{"s1", "s2", "s3", "s4"},
 		[]*big.Rat{rate, rate, rate, rate},
@@ -79,7 +86,7 @@ func buildBed(t *testing.T, faults *fault.Plan, reserve, inCap int) *bed {
 			Reconfig:     rsCycles,
 			InCapacity:   inCap,
 			OutCapacity:  inCap,
-			SourcePeriod: period,
+			SourcePeriod: sim.Time(srcPeriod),
 			Engines:      []accel.Engine{&accel.Gain{}},
 		})
 	}
@@ -384,55 +391,138 @@ func TestCanaryFailRollsBack(t *testing.T) {
 // TestQuarantineDuringDrainAborts: a fault quarantine can land while a
 // transition's pause is still draining — the in-flight block exhausts its
 // retry budget mid-drain and the gateway shrinks the controller's model
-// underneath the pending plan. The pause callback must abort the stale
-// plan (superseded), not index the mutated slot map or resurrect the
-// quarantined stream; a re-issued request decides against the new model.
+// underneath the pending plan. For every request kind the pause callback
+// must abort the stale plan (superseded) before touching the platform: the
+// model, the slot map and the reserved slots stay as the quarantine left
+// them, a migration's Import never runs, busy is released, and the
+// re-issued request decides against the new model.
 func TestQuarantineDuringDrainAborts(t *testing.T) {
-	b := buildBed(t, &fault.Plan{Faults: []fault.Fault{
-		{Kind: fault.LoseIdle, Stream: 1, Block: 8, Count: 3},
-	}}, 1, 128)
-	k := b.ms.K
+	// migrant stands in for an evacuated stream: Import attaches it to the
+	// reserved ring slot, where a real evacuation re-points its C-FIFOs.
+	migrant := func(b *bed, imports *int) MigrateRequest {
+		return MigrateRequest{
+			Name: "m5", Rate: big.NewRat(1, 300), Reconfig: rsCycles, Decimation: 1,
+			InCapacity: 64, OutCapacity: 64,
+			Import: func() (int, error) {
+				*imports++
+				spec := addReq("m5", 1, 300, 64, 64, 300).Spec
+				spec.Block = 1
+				if _, err := b.ms.AttachStream(0, spec); err != nil {
+					return 0, err
+				}
+				return len(b.ms.Chains[0].Strs) - 1, nil
+			},
+		}
+	}
+	cases := []struct {
+		name string
+		kind EventKind
+		// park, when set, parks s4 (remove) before the fault fires.
+		park  bool
+		issue func(b *bed, imports *int, done func(Verdict))
+	}{
+		{"add", EvAdd, false, func(b *bed, _ *int, done func(Verdict)) {
+			b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), done)
+		}},
+		{"remove", EvRemove, false, func(b *bed, _ *int, done func(Verdict)) {
+			b.ctrl.RemoveStream("s4", done)
+		}},
+		{"readmit", EvReadmit, true, func(b *bed, _ *int, done func(Verdict)) {
+			b.ctrl.Readmit("s4", done)
+		}},
+		{"migrate", EvMigrate, false, func(b *bed, imports *int, done func(Verdict)) {
+			b.ctrl.AdmitMigrated(migrant(b, imports), done)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := buildBed(t, &fault.Plan{Faults: []fault.Fault{
+				{Kind: fault.LoseIdle, Stream: 1, Block: 8, Count: 3},
+			}}, 1, 128)
+			k := b.ms.K
+			pair := b.ms.Chains[0].Pair
+			if tc.park {
+				k.Run(3000)
+				var vr *Verdict
+				b.ctrl.RemoveStream("s4", func(v Verdict) { vr = &v })
+				if !k.RunUntil(30_000, func() bool { return vr != nil }) || !vr.Accepted {
+					t.Fatalf("remove s4: %+v", vr)
+				}
+			}
 
-	// Run to s2's first stall: its faulty block is mid-recovery, so a pause
-	// requested now drains through the remaining retries and the quarantine
-	// lands before the pause callback can fire.
-	pair := b.ms.Chains[0].Pair
-	if !k.RunUntil(200_000, func() bool { return pair.Snapshot()[1].Stalls >= 1 }) {
-		t.Fatal("s2 never stalled")
+			// Run to s2's first stall: its faulty block is mid-recovery, so a
+			// pause requested now drains through the remaining retries and
+			// the quarantine lands before the pause callback can fire.
+			if !k.RunUntil(200_000, func() bool { return pair.Snapshot()[1].Stalls >= 1 }) {
+				t.Fatal("s2 never stalled")
+			}
+			if b.hasEvent(EvQuarantine, "s2") {
+				t.Fatal("quarantine already landed; the request must fire mid-recovery")
+			}
+			// What the quarantine will leave: the live set without s2.
+			var wantModel []BlockAssignment
+			var wantSlots []int
+			for i, st := range b.ctrl.Model().Streams {
+				if st.Name != "s2" {
+					wantModel = append(wantModel, BlockAssignment{st.Name, st.Block})
+					wantSlots = append(wantSlots, b.ctrl.gwSlot[i])
+				}
+			}
+			reserved := b.ms.Chains[0].ReservedSlots()
+			strs := len(b.ms.Chains[0].Strs)
+			imports := 0
+
+			var v *Verdict
+			tc.issue(b, &imports, func(vv Verdict) { v = &vv })
+			if !k.RunUntil(k.Now()+60_000, func() bool { return v != nil }) {
+				t.Fatal("verdict never arrived")
+			}
+			if !b.hasEvent(EvQuarantine, "s2") {
+				t.Fatal("quarantine did not land during the drain")
+			}
+			if v.Accepted || v.Reason != ReasonSuperseded {
+				t.Fatalf("verdict %+v, want superseded rejection", v)
+			}
+			if got := assignment(b.ctrl.Model(), blocksOf(b.ctrl.Model())); !slices.Equal(got, wantModel) {
+				t.Errorf("model %v, want %v", got, wantModel)
+			}
+			if !slices.Equal(b.ctrl.gwSlot, wantSlots) {
+				t.Errorf("slot map %v, want %v", b.ctrl.gwSlot, wantSlots)
+			}
+			if got := b.ms.Chains[0].ReservedSlots(); got != reserved {
+				t.Errorf("reserved slots %d, want %d", got, reserved)
+			}
+			if got := len(b.ms.Chains[0].Strs); got != strs {
+				t.Errorf("chain has %d streams, want %d", got, strs)
+			}
+			if imports != 0 {
+				t.Errorf("Import ran %d times during an aborted migration", imports)
+			}
+			if b.ctrl.busy {
+				t.Error("aborted transition left the controller busy")
+			}
+			if !pair.Snapshot()[3].Suspended != !tc.park {
+				t.Errorf("s4 suspended=%v, want %v", pair.Snapshot()[3].Suspended, tc.park)
+			}
+
+			// The same request re-issued against the shrunken model
+			// succeeds, and everyone runs inside the re-solved bounds.
+			var v2 *Verdict
+			tc.issue(b, &imports, func(vv Verdict) { v2 = &vv })
+			if !k.RunUntil(k.Now()+60_000, func() bool { return v2 != nil }) {
+				t.Fatal("re-issued verdict never arrived")
+			}
+			if !v2.Accepted {
+				t.Fatalf("re-issued %s rejected: %s %s", tc.kind, v2.Reason, v2.Detail)
+			}
+			if tc.kind == EvMigrate && imports != 1 {
+				t.Errorf("Import ran %d times, want 1", imports)
+			}
+			settled := k.Now()
+			k.Run(settled + 3*2695)
+			b.checkBounds(t, settled)
+		})
 	}
-	if b.hasEvent(EvQuarantine, "s2") {
-		t.Fatal("quarantine already landed; the request must fire mid-recovery")
-	}
-	var v *Verdict
-	b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), func(vv Verdict) { v = &vv })
-	if !k.RunUntil(k.Now()+60_000, func() bool { return v != nil }) {
-		t.Fatal("verdict never arrived")
-	}
-	if !b.hasEvent(EvQuarantine, "s2") {
-		t.Fatal("quarantine did not land during the drain")
-	}
-	if v.Accepted || v.Reason != ReasonSuperseded {
-		t.Fatalf("verdict %+v, want superseded rejection", v)
-	}
-	if got := len(b.ctrl.Model().Streams); got != 3 {
-		t.Fatalf("model has %d streams, want 3 survivors", got)
-	}
-	if b.ms.Chains[0].ReservedSlots() != 1 {
-		t.Error("aborted transition consumed the reserved slot")
-	}
-	// The same request re-issued against the shrunken model succeeds, and
-	// everyone runs inside the re-solved bounds.
-	var v2 *Verdict
-	b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), func(vv Verdict) { v2 = &vv })
-	if !k.RunUntil(k.Now()+60_000, func() bool { return v2 != nil }) {
-		t.Fatal("re-issued verdict never arrived")
-	}
-	if !v2.Accepted {
-		t.Fatalf("re-issued add rejected: %s %s", v2.Reason, v2.Detail)
-	}
-	settled := k.Now()
-	k.Run(settled + 3*2695)
-	b.checkBounds(t, settled)
 }
 
 // TestRequestsGatedWhileCanaryPending: between a readmission and its

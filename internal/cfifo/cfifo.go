@@ -191,51 +191,6 @@ func (f *FIFO) flushAck() {
 	}
 }
 
-// WriteBurst posts up to len(ws) words from the producer in one call,
-// stopping at the first rejection (space exhausted, ring injection busy, or
-// repoint gate). It returns how many words were posted. Semantically
-// identical to calling TryWrite per word — same counters, same per-word ring
-// messages — but moves a block in one producer step.
-//
-//accellint:noalloc guard=TestCFIFOZeroAllocBursts
-func (f *FIFO) WriteBurst(ws []sim.Word) int {
-	n := 0
-	for _, w := range ws {
-		if !f.TryWrite(w) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// ReadBurst pops up to len(dst) words at the consumer and sends at most one
-// read-counter update for the whole burst — the batched block transport the
-// C-FIFO algorithm explicitly permits, because the read counter is absolute:
-// the producer sees a single jump to the final count instead of a slot-paced
-// ramp of per-word updates. Word data, buffer counters and the final counter
-// value are identical to per-word TryRead; only the number of ack messages
-// (and the kernel events that carry and retry them) shrinks.
-//
-//accellint:noalloc guard=TestCFIFOZeroAllocBursts
-func (f *FIFO) ReadBurst(dst []sim.Word) int {
-	n := 0
-	for i := range dst {
-		w, ok := f.buf.TryPop()
-		if !ok {
-			break
-		}
-		f.readCount++
-		f.unacked++
-		dst[i] = w
-		n++
-	}
-	if f.unacked >= f.cfg.AckBatch {
-		f.flushAck()
-	}
-	return n
-}
-
 // Ack forces a read-counter update (e.g. at the end of a burst) so space
 // returns without waiting for the batch threshold.
 func (f *FIFO) Ack() {

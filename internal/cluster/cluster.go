@@ -509,75 +509,156 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 	if si.departed || si.rejected {
 		return
 	}
-	targets := c.rankServing()
+	c.tryOffer(&offer{
+		si: si, targets: c.rankServing(),
+		label: "placement", attempt: attempt,
+		retry: func(next int) { c.place(si, next) },
+		accept: func(tc *chainInfo, v admission.Verdict) {
+			si.st = c.findStream(tc, si.name)
+			c.event(EvArrive, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
+				lastBlock(v), v.PauseWait, v.BoundCycles))
+		},
+		refused: func(detail string) {
+			si.rejected = true
+			c.event(EvReject, "", si.name, detail)
+		},
+	})
+}
+
+// offer is one attempt to land a stream on a serving chain: a placement, an
+// evacuation migration, a readmission or a rebalance admit. tryOffer walks
+// the targets; the fields supply what differs between the four.
+type offer struct {
+	si *streamInfo
+	// st and ex are the stream's exported state. A stream that has them
+	// migrates (AdmitMigrated imports them); without, it is a fresh arrival
+	// (AddStream attaches a new stream).
+	st      *mpsoc.Stream
+	ex      gateway.StreamExport
+	targets []*chainInfo
+	// With retry set, a round of busy targets or a superseded transition
+	// backs off under the fleet schedule and retries the whole offer; label
+	// names the operation in the retry event, and charge, if set,
+	// accumulates each delay into a composed bound.
+	label   string
+	attempt int
+	retry   func(attempt int)
+	charge  *uint64
+	// accept lands the stream on tc once its transition committed; next, if
+	// set, runs after a deferred departure has been re-issued.
+	accept func(tc *chainInfo, v admission.Verdict)
+	next   func()
+	// refused runs when no target took the stream and no retry is left;
+	// superseded, if set, replaces it after a superseded transition.
+	refused    func(detail string)
+	superseded func()
+}
+
+// tryOffer offers o.si to each target in order until one accepts. A
+// synchronous rejection moves on to the next target; an accepted request
+// leaves the stream in flight on that chain until the transition commits
+// (accept) or is superseded during its drain (back off, or give up).
+func (c *Controller) tryOffer(o *offer) {
+	si := o.si
 	busy := false
 	detail := "no serving chain"
-	for _, tc := range targets {
-		if c.tryPlace(si, tc, attempt, &busy, &detail) {
+	for _, tc := range o.targets {
+		async := false
+		rejected := false
+		tcPos := tc.pos
+		c.submit(o, tc, func(v admission.Verdict) {
+			if !v.Accepted {
+				if !async {
+					rejected = true
+					if v.Reason == admission.ReasonBusy {
+						busy = true
+					}
+					detail = fmt.Sprintf("%s: %s", v.Reason, v.Detail)
+					return
+				}
+				// Superseded mid-drain: nothing moved, and any export is
+				// still ours.
+				si.inflight = false
+				switch {
+				case c.backoff(o, fmt.Sprintf("%s superseded on %s;", o.label, tc.name)):
+				case o.superseded != nil:
+					o.superseded()
+				default:
+					o.refused("retry budget exhausted (superseded)")
+				}
+				return
+			}
+			si.inflight = false
+			si.chain = tcPos
+			o.accept(tc, v)
+			if si.deferDepart {
+				si.deferDepart = false
+				c.depart(si, 0)
+			}
+			if o.next != nil {
+				o.next()
+			}
+		})
+		if !rejected {
+			async = true
+			si.inflight = true
+			si.pendingOn = tcPos
 			return
 		}
 	}
 	if busy {
-		if d, ok := c.cfg.Retry.Delay(attempt); ok {
-			c.event(EvRetry, "", si.name, fmt.Sprintf("placement attempt %d backs off %d cycles", attempt+1, d))
-			c.k.Schedule(d, func() { c.place(si, attempt+1) })
+		if c.backoff(o, fmt.Sprintf("%s attempt %d", o.label, o.attempt+1)) {
 			return
 		}
 		detail = "retry budget exhausted (targets busy)"
 	}
-	si.rejected = true
-	c.event(EvReject, "", si.name, detail)
+	o.refused(detail)
 }
 
-// tryPlace offers si to one chain. It returns true when the chain accepted
-// (the staged transition is in flight and the done callback completes or
-// re-routes the placement), false on a synchronous rejection.
-func (c *Controller) tryPlace(si *streamInfo, tc *chainInfo, attempt int, busy *bool, detail *string) bool {
-	async := false
-	rejected := false
-	tcPos := tc.pos
-	tc.ctrl.AddStream(admission.AddRequest{
-		Spec: c.streamSpec(si),
-		Rate: big.NewRat(1, si.period),
-	}, func(v admission.Verdict) {
-		if !v.Accepted {
-			if !async {
-				rejected = true
-				if v.Reason == admission.ReasonBusy {
-					*busy = true
-				}
-				*detail = fmt.Sprintf("%s: %s", v.Reason, v.Detail)
-				return
-			}
-			// Asynchronous rejection: the stream set changed during the
-			// drain (superseded). Re-place from scratch under backoff.
-			si.inflight = false
-			if d, ok := c.cfg.Retry.Delay(attempt); ok {
-				c.event(EvRetry, "", si.name, fmt.Sprintf("placement superseded on %s; backs off %d cycles", tc.name, d))
-				c.k.Schedule(d, func() { c.place(si, attempt+1) })
-				return
-			}
-			si.rejected = true
-			c.event(EvReject, "", si.name, "retry budget exhausted (superseded)")
-			return
-		}
-		si.inflight = false
-		si.chain = tcPos
-		si.st = c.findStream(tc, si.name)
-		c.event(EvArrive, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
-			lastBlock(v), v.PauseWait, v.BoundCycles))
-		if si.deferDepart {
-			si.deferDepart = false
-			c.depart(si, 0)
-		}
-	})
-	if rejected {
+// backoff schedules the offer's next attempt after the fleet retry delay,
+// charging it to the offer's bound. It reports false when the offer does
+// not retry or its budget is spent.
+func (c *Controller) backoff(o *offer, what string) bool {
+	if o.retry == nil {
 		return false
 	}
-	async = true
-	si.inflight = true
-	si.pendingOn = tcPos
+	d, ok := c.cfg.Retry.Delay(o.attempt)
+	if !ok {
+		return false
+	}
+	if o.charge != nil {
+		*o.charge += uint64(d)
+	}
+	c.event(EvRetry, "", o.si.name, fmt.Sprintf("%s backs off %d cycles", what, d))
+	next := o.attempt + 1
+	c.k.Schedule(d, func() { o.retry(next) })
 	return true
+}
+
+// submit hands the offer to one target's admission controller.
+func (c *Controller) submit(o *offer, tc *chainInfo, done func(admission.Verdict)) {
+	si := o.si
+	if o.st == nil {
+		tc.ctrl.AddStream(admission.AddRequest{
+			Spec: c.streamSpec(si),
+			Rate: big.NewRat(1, si.period),
+		}, done)
+		return
+	}
+	st, ex := o.st, o.ex
+	// The resumed block must cover the replay residue and must not end
+	// before the consumer's committed position (decimation 1).
+	minBlock := max(ex.ReplayStart+int64(len(ex.Replay)), ex.Committed)
+	tc.ctrl.AdmitMigrated(admission.MigrateRequest{
+		Name:        si.name,
+		Rate:        big.NewRat(1, si.period),
+		Reconfig:    uint64(c.cfg.Reconfig),
+		Decimation:  1,
+		MinBlock:    minBlock,
+		InCapacity:  st.In.Capacity(),
+		OutCapacity: st.Out.Capacity(),
+		Import:      func() (int, error) { return c.ms.AdoptStream(tc.idx, st, ex) },
+	}, done)
 }
 
 // findStream resolves the mpsoc stream named name on chain tc, scanning
@@ -822,7 +903,7 @@ func (c *Controller) reissuePending(ci *chainInfo) {
 // stream individually (rung 3, shed, per stream when no target admits it).
 func (c *Controller) evacuate(ci *chainInfo, reason string) {
 	msch := c.ms.Chains[ci.idx]
-	maxTau := c.maxTauOf(ci.ctrl.Model())
+	settle := c.settle(ci.ctrl.Model())
 	if err := msch.Pair.FreezeForFailover(); err != nil {
 		c.event(EvEvacuate, ci.name, "", fmt.Sprintf("freeze failed: %v", err))
 		return
@@ -833,16 +914,6 @@ func (c *Controller) evacuate(ci *chainInfo, reason string) {
 			continue
 		}
 		st.In.BeginRepoint()
-	}
-	settle := c.cfg.Recovery.FlushDelay
-	if settle == 0 {
-		settle = c.cfg.DrainTimeout
-	}
-	if maxTau > 0 && settle > sim.Time(maxTau) {
-		settle = sim.Time(maxTau)
-	}
-	if settle == 0 {
-		settle = 1
 	}
 	ci.state = chainFailed
 	c.reissuePending(ci)
@@ -900,94 +971,28 @@ func (c *Controller) evacPlace(ev *evacuation, it *evacItem, attempt int) {
 		c.evacNext(ev)
 		return
 	}
-	targets := c.rankServing()
-	busy := false
-	for _, tc := range targets {
-		if c.tryMigrate(ev, it, tc, attempt, &busy) {
-			return
-		}
-	}
-	if busy {
-		if d, ok := c.cfg.Retry.Delay(attempt); ok {
-			// A charged backoff delay extends the composed bound: the wait
-			// is part of the evacuation's measured cost.
-			ev.bound += uint64(d)
-			c.event(EvRetry, "", it.si.name, fmt.Sprintf("migration attempt %d backs off %d cycles", attempt+1, d))
-			c.k.Schedule(d, func() { c.evacPlace(ev, it, attempt+1) })
-			return
-		}
-	}
-	c.shedStream(ev, it)
-}
-
-func minBlockOf(e gateway.StreamExport, decimation int64) int64 {
-	mb := e.ReplayStart + int64(len(e.Replay))
-	if cb := e.Committed * decimation; cb > mb {
-		mb = cb
-	}
-	return mb
-}
-
-func (c *Controller) tryMigrate(ev *evacuation, it *evacItem, tc *chainInfo, attempt int, busy *bool) bool {
-	async := false
-	rejected := false
-	tcPos := tc.pos
-	tc.ctrl.AdmitMigrated(admission.MigrateRequest{
-		Name:        it.si.name,
-		Rate:        big.NewRat(1, it.si.period),
-		Reconfig:    uint64(c.cfg.Reconfig),
-		Decimation:  1,
-		MinBlock:    minBlockOf(it.e, 1),
-		InCapacity:  it.st.In.Capacity(),
-		OutCapacity: it.st.Out.Capacity(),
-		Import:      func() (int, error) { return c.ms.AdoptStream(tc.idx, it.st, it.e) },
-	}, func(v admission.Verdict) {
-		if !v.Accepted {
-			if !async {
-				rejected = true
-				if v.Reason == admission.ReasonBusy {
-					*busy = true
-				}
-				return
-			}
-			// Superseded mid-drain: the export is still ours; retry the
-			// whole placement under backoff.
-			it.si.inflight = false
-			if d, ok := c.cfg.Retry.Delay(attempt); ok {
-				ev.bound += uint64(d)
-				c.event(EvRetry, "", it.si.name, fmt.Sprintf("migration superseded on %s; backs off %d cycles", tc.name, d))
-				c.k.Schedule(d, func() { c.evacPlace(ev, it, attempt+1) })
-				return
-			}
-			c.shedStream(ev, it)
-			return
-		}
-		it.si.inflight = false
-		it.si.chain = tcPos
-		ev.bound += v.BoundCycles
-		ev.migrated++
-		measured := uint64(c.k.Now() - ev.at)
-		c.ladder = append(c.ladder, LadderStep{
-			At: c.k.Now(), Stream: it.si.name, Rung: "evacuate",
-			From: ev.from.name, To: tc.name,
-			Measured: measured, Bound: ev.bound, Replay: len(it.e.Replay),
-		})
-		c.event(EvMigrated, tc.name, it.si.name, fmt.Sprintf("eta=%d measured=%d bound=%d replay=%d",
-			lastBlock(v), measured, ev.bound, len(it.e.Replay)))
-		if it.si.deferDepart {
-			it.si.deferDepart = false
-			c.depart(it.si, 0)
-		}
-		ev.queue = ev.queue[1:]
-		c.evacNext(ev)
+	c.tryOffer(&offer{
+		si: it.si, st: it.st, ex: it.e, targets: c.rankServing(),
+		label: "migration", attempt: attempt, charge: &ev.bound,
+		retry: func(next int) { c.evacPlace(ev, it, next) },
+		accept: func(tc *chainInfo, v admission.Verdict) {
+			ev.bound += v.BoundCycles
+			ev.migrated++
+			measured := uint64(c.k.Now() - ev.at)
+			c.ladder = append(c.ladder, LadderStep{
+				At: c.k.Now(), Stream: it.si.name, Rung: "evacuate",
+				From: ev.from.name, To: tc.name,
+				Measured: measured, Bound: ev.bound, Replay: len(it.e.Replay),
+			})
+			c.event(EvMigrated, tc.name, it.si.name, fmt.Sprintf("eta=%d measured=%d bound=%d replay=%d",
+				lastBlock(v), measured, ev.bound, len(it.e.Replay)))
+		},
+		next: func() {
+			ev.queue = ev.queue[1:]
+			c.evacNext(ev)
+		},
+		refused: func(string) { c.shedStream(ev, it) },
 	})
-	if rejected {
-		return false
-	}
-	async = true
-	it.si.inflight = true
-	it.si.pendingOn = tcPos
-	return true
 }
 
 // shedStream is rung 3: park the stream (source stopped, exported state
@@ -1035,62 +1040,23 @@ func (c *Controller) tryReadmit(si *streamInfo, attempt int) {
 	if !si.shed || si.departed || si.inflight {
 		return
 	}
-	for _, tc := range c.rankServing() {
-		if c.tryReadmitOn(si, tc, attempt) {
-			return
-		}
-	}
-	c.scheduleReadmit(si, attempt+1)
-}
-
-func (c *Controller) tryReadmitOn(si *streamInfo, tc *chainInfo, attempt int) bool {
-	async := false
-	rejected := false
-	tcPos := tc.pos
-	tc.ctrl.AdmitMigrated(admission.MigrateRequest{
-		Name:        si.name,
-		Rate:        big.NewRat(1, si.period),
-		Reconfig:    uint64(c.cfg.Reconfig),
-		Decimation:  1,
-		MinBlock:    minBlockOf(si.export, 1),
-		InCapacity:  si.st.In.Capacity(),
-		OutCapacity: si.st.Out.Capacity(),
-		Import:      func() (int, error) { return c.ms.AdoptStream(tc.idx, si.st, si.export) },
-	}, func(v admission.Verdict) {
-		if !v.Accepted {
-			if !async {
-				rejected = true
-				return
-			}
-			si.inflight = false
-			c.scheduleReadmit(si, attempt+1)
-			return
-		}
-		si.inflight = false
-		si.shed = false
-		si.hasExport = false
-		si.chain = tcPos
-		c.ms.StartSource(si.st)
-		c.ladder = append(c.ladder, LadderStep{
-			At: c.k.Now(), Stream: si.name, Rung: "readmit",
-			From: "", To: tc.name,
-			Measured: uint64(v.PauseWait) + v.BusCycles, Bound: v.BoundCycles,
-			Replay: len(si.export.Replay),
-		})
-		c.event(EvReadmit, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
-			lastBlock(v), v.PauseWait, v.BoundCycles))
-		if si.deferDepart {
-			si.deferDepart = false
-			c.depart(si, 0)
-		}
+	c.tryOffer(&offer{
+		si: si, st: si.st, ex: si.export, targets: c.rankServing(),
+		accept: func(tc *chainInfo, v admission.Verdict) {
+			si.shed = false
+			si.hasExport = false
+			c.ms.StartSource(si.st)
+			c.ladder = append(c.ladder, LadderStep{
+				At: c.k.Now(), Stream: si.name, Rung: "readmit",
+				From: "", To: tc.name,
+				Measured: uint64(v.PauseWait) + v.BusCycles, Bound: v.BoundCycles,
+				Replay: len(si.export.Replay),
+			})
+			c.event(EvReadmit, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
+				lastBlock(v), v.PauseWait, v.BoundCycles))
+		},
+		refused: func(string) { c.scheduleReadmit(si, attempt+1) },
 	})
-	if rejected {
-		return false
-	}
-	async = true
-	si.inflight = true
-	si.pendingOn = tcPos
-	return true
 }
 
 // onHeal brings a deferred spare online. With shed streams waiting, the

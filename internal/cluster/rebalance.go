@@ -325,7 +325,7 @@ func (c *Controller) startMove(op *moveOp) bool {
 	// The settle clamp uses the source model max τ̂s(K) captured BEFORE the
 	// removal commits: the departing victim's own block attempt is part of
 	// what the settle must cover.
-	maxTau := c.maxTauOf(op.from.ctrl.Model())
+	settle := c.settle(op.from.ctrl.Model())
 	si.moving = true
 	si.inflight = true
 	si.pendingOn = op.from.pos
@@ -344,7 +344,7 @@ func (c *Controller) startMove(op *moveOp) bool {
 			return
 		}
 		op.bound += v.BoundCycles
-		c.releaseAndSettle(op, maxTau)
+		c.releaseAndSettle(op, settle)
 	})
 	return true
 }
@@ -352,7 +352,7 @@ func (c *Controller) startMove(op *moveOp) bool {
 // releaseAndSettle runs at the removal commit: the victim's slot is drained
 // and suspended on the source pair. Export it, gate its producer, and wait
 // out the interconnect settle before offering it to the target.
-func (c *Controller) releaseAndSettle(op *moveOp, maxTau uint64) {
+func (c *Controller) releaseAndSettle(op *moveOp, settle sim.Time) {
 	si := op.si
 	if _, ok := op.from.ctrl.ForgetParked(si.name); !ok {
 		// Cannot happen (RemoveStream just parked it); fail loudly if it does.
@@ -378,16 +378,6 @@ func (c *Controller) releaseAndSettle(op *moveOp, maxTau uint64) {
 	si.st = st
 	si.export = ex
 	si.hasExport = true
-	settle := c.cfg.Recovery.FlushDelay
-	if settle == 0 {
-		settle = c.cfg.DrainTimeout
-	}
-	if maxTau > 0 && settle > sim.Time(maxTau) {
-		settle = sim.Time(maxTau)
-	}
-	if settle == 0 {
-		settle = 1
-	}
 	op.bound += uint64(settle)
 	c.k.Schedule(settle, func() { c.moveAdmit(op, 0) })
 }
@@ -411,22 +401,39 @@ func (c *Controller) moveAdmit(op *moveOp, attempt int) {
 			targets = append(targets, tc)
 		}
 	}
-	busy := false
-	for _, tc := range targets {
-		if c.tryMoveAdmit(op, tc, attempt, &busy) {
-			return
-		}
-	}
-	if busy {
-		if d, ok := c.cfg.Retry.Delay(attempt); ok {
-			op.bound += uint64(d)
-			c.event(EvRetry, "", si.name, fmt.Sprintf("rebalance admit attempt %d backs off %d cycles", attempt+1, d))
-			c.k.Schedule(d, func() { c.moveAdmit(op, attempt+1) })
-			return
-		}
-	}
-	// No target admits the victim: park it exactly like a shed stream so the
-	// readmission/heal machinery gets it back onto the fleet.
+	c.tryOffer(&offer{
+		si: si, st: si.st, ex: si.export, targets: targets,
+		label: "rebalance admit", attempt: attempt, charge: &op.bound,
+		retry: func(next int) { c.moveAdmit(op, next) },
+		accept: func(tc *chainInfo, v admission.Verdict) {
+			si.moving = false
+			si.shed = false
+			si.hasExport = false
+			si.moves++
+			si.movedAt = c.k.Now()
+			c.ms.StartSource(si.st)
+			op.bound += v.BoundCycles
+			measured := uint64(c.k.Now() - op.started)
+			c.ladder = append(c.ladder, LadderStep{
+				At: c.k.Now(), Stream: si.name, Rung: "rebalance",
+				From: op.from.name, To: tc.name,
+				Measured: measured, Bound: op.bound, Replay: len(si.export.Replay),
+			})
+			c.event(EvRebalanced, tc.name, si.name, fmt.Sprintf("from %s eta=%d measured=%d bound=%d replay=%d",
+				op.from.name, lastBlock(v), measured, op.bound, len(si.export.Replay)))
+		},
+		next: c.nextMove,
+		// With the backoff budget gone, a superseded admit re-offers once
+		// more before parking.
+		superseded: func() { c.moveAdmit(op, attempt+1) },
+		refused:    func(string) { c.parkMoved(op) },
+	})
+}
+
+// parkMoved parks a released victim no target admits, exactly like a shed
+// stream, so the readmission/heal machinery gets it back onto the fleet.
+func (c *Controller) parkMoved(op *moveOp) {
+	si := op.si
 	si.moving = false
 	si.inflight = false
 	si.shed = true
@@ -434,79 +441,12 @@ func (c *Controller) moveAdmit(op *moveOp, attempt int) {
 	c.ladder = append(c.ladder, LadderStep{
 		At: c.k.Now(), Stream: si.name, Rung: "shed",
 		From: op.from.name, To: "",
-		Measured: uint64(c.k.Now() - op.started), Bound: op.bound, Replay: len(op.si.export.Replay),
+		Measured: uint64(c.k.Now() - op.started), Bound: op.bound, Replay: len(si.export.Replay),
 	})
 	c.event(EvShed, "", si.name, fmt.Sprintf("rebalance found no target; parked (measured=%d bound=%d)",
 		uint64(c.k.Now()-op.started), op.bound))
 	c.scheduleReadmit(si, 0)
 	c.nextMove()
-}
-
-func (c *Controller) tryMoveAdmit(op *moveOp, tc *chainInfo, attempt int, busy *bool) bool {
-	si := op.si
-	async := false
-	rejected := false
-	tcPos := tc.pos
-	tc.ctrl.AdmitMigrated(admission.MigrateRequest{
-		Name:        si.name,
-		Rate:        big.NewRat(1, si.period),
-		Reconfig:    uint64(c.cfg.Reconfig),
-		Decimation:  1,
-		MinBlock:    minBlockOf(si.export, 1),
-		InCapacity:  si.st.In.Capacity(),
-		OutCapacity: si.st.Out.Capacity(),
-		Import:      func() (int, error) { return c.ms.AdoptStream(tc.idx, si.st, si.export) },
-	}, func(v admission.Verdict) {
-		if !v.Accepted {
-			if !async {
-				rejected = true
-				if v.Reason == admission.ReasonBusy {
-					*busy = true
-				}
-				return
-			}
-			// Superseded mid-drain: the export is still ours; retry the
-			// admit leg under the charged backoff.
-			si.inflight = false
-			if d, ok := c.cfg.Retry.Delay(attempt); ok {
-				op.bound += uint64(d)
-				c.event(EvRetry, "", si.name, fmt.Sprintf("rebalance admit superseded on %s; backs off %d cycles", tc.name, d))
-				c.k.Schedule(d, func() { c.moveAdmit(op, attempt+1) })
-				return
-			}
-			c.moveAdmit(op, attempt+1) // budget gone: falls through to shed
-			return
-		}
-		si.moving = false
-		si.inflight = false
-		si.shed = false
-		si.hasExport = false
-		si.chain = tcPos
-		si.moves++
-		si.movedAt = c.k.Now()
-		c.ms.StartSource(si.st)
-		op.bound += v.BoundCycles
-		measured := uint64(c.k.Now() - op.started)
-		c.ladder = append(c.ladder, LadderStep{
-			At: c.k.Now(), Stream: si.name, Rung: "rebalance",
-			From: op.from.name, To: tc.name,
-			Measured: measured, Bound: op.bound, Replay: len(op.si.export.Replay),
-		})
-		c.event(EvRebalanced, tc.name, si.name, fmt.Sprintf("from %s eta=%d measured=%d bound=%d replay=%d",
-			op.from.name, lastBlock(v), measured, op.bound, len(op.si.export.Replay)))
-		if si.deferDepart {
-			si.deferDepart = false
-			c.depart(si, 0)
-		}
-		c.nextMove()
-	})
-	if rejected {
-		return false
-	}
-	async = true
-	si.inflight = true
-	si.pendingOn = tcPos
-	return true
 }
 
 func (c *Controller) finishMoveAborted(op *moveOp, why string) {
@@ -516,14 +456,19 @@ func (c *Controller) finishMoveAborted(op *moveOp, why string) {
 	c.nextMove()
 }
 
-// maxTauOf returns the model's max τ̂s(K) over its streams (the settle clamp
-// shared by evacuation and rebalancing).
-func (c *Controller) maxTauOf(model *core.System) uint64 {
-	var maxTau uint64
-	for i := range model.Streams {
-		if t, err := model.TauHatCheckpointed(i, c.cfg.Recovery.Checkpoint, uint64(c.cfg.Recovery.CheckpointCost)); err == nil && t > maxTau {
-			maxTau = t
-		}
+// settle is the wait for in-flight ring words after a chain freezes or a
+// stream is released (shared by evacuation and rebalancing): the recovery
+// flush delay, else the drain timeout, clamped to the model's max τ̂s(K).
+func (c *Controller) settle(model *core.System) sim.Time {
+	settle := c.cfg.Recovery.FlushDelay
+	if settle == 0 {
+		settle = c.cfg.DrainTimeout
 	}
-	return maxTau
+	if maxTau := model.MaxTauHatCheckpointed(c.cfg.Recovery.Checkpoint, uint64(c.cfg.Recovery.CheckpointCost)); maxTau > 0 && settle > sim.Time(maxTau) {
+		settle = sim.Time(maxTau)
+	}
+	if settle == 0 {
+		settle = 1
+	}
+	return settle
 }

@@ -171,6 +171,20 @@ func (s *System) TauHatCheckpointed(i int, k int64, saveCost uint64) (uint64, er
 	return st.Reconfig + uint64(st.Block+2*n)*s.Chain.C0() + uint64(n-1)*saveCost, nil
 }
 
+// MaxTauHatCheckpointed returns max τ̂s(K) over the streams whose block is
+// set: the longest one in-flight block can take, which bounds how long a
+// drain to the next block boundary or a ring settle waits. Streams without
+// a block are skipped.
+func (s *System) MaxTauHatCheckpointed(k int64, saveCost uint64) uint64 {
+	var maxTau uint64
+	for i := range s.Streams {
+		if t, err := s.TauHatCheckpointed(i, k, saveCost); err == nil && t > maxTau {
+			maxTau = t
+		}
+	}
+	return maxTau
+}
+
 // ResumeBound bounds the work one mid-block resume may redo under
 // checkpointing every K input samples: the abort-and-reconfigure reload
 // (Rs over the configuration bus), at most K replayed samples (the resume

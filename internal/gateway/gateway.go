@@ -115,13 +115,6 @@ type Config struct {
 	// RecordActivity keeps a per-phase activity trace (reconfiguration,
 	// streaming, draining spans per block) for Gantt rendering.
 	RecordActivity bool
-	// BatchTransport commits staged output words (value-exact replay) to the
-	// output C-FIFO through the burst write path: the whole stage moves in
-	// one component step with identical per-word ring messages, counters and
-	// commit instants. It is a pure event/CPU reduction — the observable
-	// model is unchanged — and campaigns keep it off so goldens pin the
-	// per-word path; TestBatchTransportEquivalence proves the equivalence.
-	BatchTransport bool
 	// DrainTimeout is the watchdog's progress window, covering every phase
 	// of a block (reconfiguration, streaming, draining): if a full window
 	// passes without the block advancing — no sample issued, no sample
@@ -1244,25 +1237,6 @@ func (p *Pair) drainStage(done func()) {
 	var step func()
 	step = func() {
 		if p.blockEpoch != epoch || p.failed {
-			return
-		}
-		if p.cfg.BatchTransport {
-			// Burst commit: WriteBurst posts the same per-word ring messages
-			// at the same instant as the word-at-a-time loop below; partial
-			// acceptance (ring injection backpressure) retries identically.
-			n := s.Out.WriteBurst(p.stage)
-			for range p.stage[:n] {
-				s.SamplesOut++
-				if p.cfg.RecordOutputTimes {
-					s.OutTimes = append(s.OutTimes, p.k.Now())
-				}
-			}
-			p.stage = p.stage[n:]
-			if len(p.stage) > 0 {
-				p.k.Schedule(2, step)
-				return
-			}
-			done()
 			return
 		}
 		for len(p.stage) > 0 {

@@ -78,13 +78,6 @@ type StreamSpec struct {
 	// arbitration) so an admission controller can activate it atomically
 	// with the survivors' new block sizes in one ApplySlots transaction.
 	StartSuspended bool
-	// BatchIO moves the sink's eager drain onto the C-FIFO burst path: one
-	// read-counter update per drain burst instead of one ring ack message
-	// per word. Word data, counters and drain instants are unchanged (the
-	// eager sink already pops everything available within one wake); only
-	// ack traffic — and the kernel events carrying and retrying it —
-	// shrinks. TestBatchTransportEquivalence pins the invariance.
-	BatchIO bool
 }
 
 // Config assembles a platform.
@@ -108,11 +101,8 @@ type Config struct {
 	OnStall           func(stream int)
 	Faults            *fault.Plan
 	RecordTurnarounds bool
-	// BatchTransport enables the gateway burst stage-commit path (see
-	// ChainSpec.BatchTransport).
-	BatchTransport bool
-	Accels         []AccelSpec
-	Streams        []StreamSpec
+	Accels            []AccelSpec
+	Streams           []StreamSpec
 }
 
 // Stream is the runtime state of one stream.
@@ -190,7 +180,6 @@ func Build(cfg Config) (*System, error) {
 			OnStall:           cfg.OnStall,
 			Faults:            cfg.Faults,
 			RecordTurnarounds: cfg.RecordTurnarounds,
-			BatchTransport:    cfg.BatchTransport,
 			Accels:            cfg.Accels,
 			Streams:           cfg.Streams,
 		}},
@@ -261,10 +250,6 @@ func startSourceTask(k *sim.Kernel, st *Stream) {
 // startSinkTask runs the consumer task for a stream.
 func startSinkTask(k *sim.Kernel, st *Stream) {
 	period := st.Spec.SinkPeriod
-	var burst []sim.Word
-	if st.Spec.BatchIO && period == 0 {
-		burst = make([]sim.Word, 64)
-	}
 	collect := func(w sim.Word) {
 		if st.collected == 0 {
 			st.FirstOutputAt = k.Now()
@@ -277,21 +262,6 @@ func startSinkTask(k *sim.Kernel, st *Stream) {
 	}
 	var tick func()
 	tick = func() {
-		if burst != nil {
-			// Batched eager drain: same pops at the same instant as the
-			// per-word loop below, but one coalesced read-counter update per
-			// burst instead of one ring ack per word.
-			for {
-				n := st.Out.ReadBurst(burst)
-				if n == 0 {
-					break
-				}
-				for _, w := range burst[:n] {
-					collect(w)
-				}
-			}
-			return
-		}
 		for {
 			w, ok := st.Out.TryRead()
 			if !ok {

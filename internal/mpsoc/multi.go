@@ -37,10 +37,6 @@ type ChainSpec struct {
 	Faults *fault.Plan
 	// RecordTurnarounds keeps per-block latency records on every stream.
 	RecordTurnarounds bool
-	// BatchTransport enables the gateway's burst stage-commit path (see
-	// gateway.Config.BatchTransport): identical observable model, fewer
-	// component steps. Campaigns keep it off so goldens pin the per-word path.
-	BatchTransport bool
 	// ReserveSlots pre-provisions ring attachment points (one source and one
 	// sink tile each) for streams admitted at runtime via AttachStream. The
 	// ring topology is fixed in hardware, so online admission can only use
@@ -199,7 +195,6 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 		Recovery:          spec.Recovery,
 		OnStall:           spec.OnStall,
 		RecordTurnarounds: spec.RecordTurnarounds,
-		BatchTransport:    spec.BatchTransport,
 	}
 	if spec.Faults != nil {
 		gwCfg.DropIdle = spec.Faults.IdleDropper()
@@ -260,27 +255,10 @@ func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, p
 	if err != nil {
 		return nil, err
 	}
-	// Per-word read-counter updates by default (the goldens' regime). With
-	// BatchIO the sink acknowledges a whole output block with one absolute
-	// counter update — the batched block transport the C-FIFO algorithm
-	// permits; with the usual ≥ 2-block capacity slack the producer's space
-	// view never gates on the elided intermediate updates, so the observable
-	// model is unchanged (TestBatchTransportEquivalence).
-	outAck := 1
-	if ss.BatchIO {
-		outAck = int(ss.Block / ss.Decimation)
-		if outAck > ss.OutCapacity {
-			outAck = ss.OutCapacity
-		}
-		if outAck < 1 {
-			outAck = 1
-		}
-	}
 	out, err := cfifo.New(k, net, cfifo.Config{
 		Name: ss.Name + ".out", Capacity: ss.OutCapacity,
 		ProducerNode: ch.ExitNode, ConsumerNode: sinkN,
 		DataPort: 100 + port, AckPort: 200 + port,
-		AckBatch: outAck,
 	})
 	if err != nil {
 		return nil, err
