@@ -64,16 +64,18 @@ func runAdmit(args []string) error {
 // Rs=50, μs=1/75 each → Algorithm 1 gives η=22, τ̂=410, γ̂=1640) plus its
 // admission controller.
 func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, error) {
-	model := &core.System{
-		Chain: core.Chain{
-			Name:       "demo",
-			AccelCosts: []uint64{1},
-			EntryCost:  15,
-			ExitCost:   1,
-			NICapacity: 2,
-		},
-		ClockHz: 1,
+	chain := mpsoc.ChainSpec{
+		Name:              "demo",
+		EntryCost:         15,
+		ExitCost:          1,
+		Mode:              gateway.ReconfigFixed,
+		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		DrainTimeout:      200,
+		Recovery:          gateway.Recovery{Enabled: true, RetryLimit: 2},
+		RecordTurnarounds: true,
+		ReserveSlots:      reserve,
 	}
+	model := &core.System{Chain: chain.CoreChain(), ClockHz: 1}
 	for _, name := range []string{"s1", "s2", "s3", "s4"} {
 		model.Streams = append(model.Streams, core.Stream{
 			Name: name, Rate: big.NewRat(1, 75), Reconfig: 50,
@@ -82,9 +84,8 @@ func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, erro
 	if _, err := model.ComputeBlockSizes(); err != nil {
 		return nil, nil, err
 	}
-	var specs []mpsoc.StreamSpec
 	for i := range model.Streams {
-		specs = append(specs, mpsoc.StreamSpec{
+		chain.Streams = append(chain.Streams, mpsoc.StreamSpec{
 			Name:         model.Streams[i].Name,
 			Block:        model.Streams[i].Block,
 			Decimation:   1,
@@ -95,21 +96,7 @@ func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, erro
 			Engines:      []accel.Engine{&accel.Gain{}},
 		})
 	}
-	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name: "admit",
-		Chains: []mpsoc.ChainSpec{{
-			Name:              "demo",
-			EntryCost:         15,
-			ExitCost:          1,
-			Mode:              gateway.ReconfigFixed,
-			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-			Streams:           specs,
-			DrainTimeout:      200,
-			Recovery:          gateway.Recovery{Enabled: true, RetryLimit: 2},
-			RecordTurnarounds: true,
-			ReserveSlots:      reserve,
-		}},
-	})
+	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Name: "admit", Chains: []mpsoc.ChainSpec{chain}})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -83,17 +83,11 @@ type failoverScenario struct {
 	ckptCost sim.Time
 }
 
-// failoverModel is the primary's temporal model: three streams, ε=15, ρA=1,
-// δ=1, Rs=50, η=16 → τ̂=320, γ̂=960 (Eq. 2/4); μs=1/75 needs 1200 cycles per
-// block, so the bounds hold with slack.
-func failoverModel() *core.System {
-	m := &core.System{
-		Chain: core.Chain{
-			Name: "primary", AccelCosts: []uint64{1},
-			EntryCost: 15, ExitCost: 1, NICapacity: 2,
-		},
-		ClockHz: 1,
-	}
+// failoverModel is the temporal model of the three streams on chain ch: on
+// the primary (ε=15, ρA=1, δ=1) Rs=50, η=16 → τ̂=320, γ̂=960 (Eq. 2/4);
+// μs=1/75 needs 1200 cycles per block, so the bounds hold with slack.
+func failoverModel(ch core.Chain) *core.System {
+	m := &core.System{Chain: ch, ClockHz: 1}
 	for _, name := range []string{"s0", "s1", "s2"} {
 		m.Streams = append(m.Streams, core.Stream{
 			Name: name, Rate: big.NewRat(1, 75), Reconfig: 50, Block: 16,
@@ -212,21 +206,12 @@ func failoverPlatform(sc failoverScenario) (*mpsoc.MultiSystem, *mpsoc.FailoverC
 	if err != nil {
 		return nil, nil, err
 	}
-	fcfg := mpsoc.FailoverConfig{
+	fc, err := mpsoc.NewFailover(ms, mpsoc.FailoverConfig{
 		Primary: 0, Standby: 1,
-		Model:          failoverModel(),
-		PerSlotCost:    10,
-		Resolve:        sc.resolve,
-		Checkpoint:     sc.ckpt,
-		CheckpointCost: sc.ckptCost,
-	}
-	if standbyCost != 1 {
-		fcfg.StandbyChain = &core.Chain{
-			Name: "standby", AccelCosts: []uint64{standbyCost},
-			EntryCost: 15, ExitCost: 1, NICapacity: 2,
-		}
-	}
-	fc, err := mpsoc.NewFailover(ms, fcfg)
+		Model:       failoverModel(ms.Chains[0].Spec.CoreChain()),
+		PerSlotCost: 10,
+		Resolve:     sc.resolve,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -341,9 +326,7 @@ func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error
 		// Conformance over the post-transient trace: τ̂ per block (retried
 		// blocks exempt), γ̂ per block, μs long-run, for the live streams
 		// against the ACTIVE chain's parameters and block sizes.
-		model := failoverModel()
-		model.Chain.Name = active.Spec.Name
-		model.Chain.AccelCosts = []uint64{uint64(active.Spec.Accels[0].Cost)}
+		model := failoverModel(active.Spec.CoreChain())
 		var bounds []conformance.StreamBounds
 		var streams []*gateway.Stream
 		for i, snap := range snaps {
@@ -362,15 +345,14 @@ func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error
 		// Checkpointed scenarios check against the adjusted τ̂(K)/γ̂(K) and
 		// additionally bound per-block replay work by K (Replayed ≤ retries·K;
 		// the migrated block itself completes before the post-transient cut).
-		bounds, err = conformance.FromModelCheckpointed(modelLive, sc.ckpt, uint64(sc.ckptCost))
+		k, saveCost := active.Spec.Checkpointing()
+		bounds, err = conformance.FromModelCheckpointed(modelLive, k, saveCost)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.name, err)
 		}
 		opts := conformance.Options{
 			After: conformanceCut(rec), SkipRetried: true, MinBlocks: 5,
-		}
-		if sc.ckpt > 0 {
-			opts.ReplayBound = sc.ckpt
+			ReplayBound: k,
 		}
 		res := conformance.FromStreams(bounds, streams, opts)
 		fmt.Fprintf(w, "conformance after t=%d: %d blocks checked, %d violations\n",

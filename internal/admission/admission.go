@@ -21,11 +21,12 @@
 // The transition cost is itself bounded — the drain waits at most one
 // in-flight block turnaround max τ̂s plus the bus transaction — and both
 // the bound and the measured cost are recorded in the decision's Verdict.
-// On a checkpointing chain (Config.Checkpoint = K) that in-flight block
-// additionally pays the interior quiesce/save overhead, so the guard uses
-// the adjusted Eq. 2 term τ̂s(K) = Rs + (ηs + 2·⌈ηs/K⌉)·c0 +
-// (⌈ηs/K⌉−1)·Csave (core.TauHatCheckpointed) — leaving Checkpoint zero on
-// such a chain would under-estimate the drain bound.
+// On a checkpointing chain (gateway.Recovery.Checkpoint = K) that in-flight
+// block additionally pays the interior quiesce/save overhead, so the guard
+// uses the adjusted Eq. 2 term τ̂s(K) = Rs + (ηs + 2·⌈ηs/K⌉)·c0 +
+// (⌈ηs/K⌉−1)·Csave (core.TauHatCheckpointed). K and Csave, like every
+// stream's decimation, are read from the controlled chain itself
+// (mpsoc.ChainSpec.Checkpointing, StreamSpec.Decimation), never copied.
 //
 // Readmission of a quarantined stream is probational: the stream re-enters
 // arbitration with a canary block; one clean completion clears probation,
@@ -167,9 +168,6 @@ type Config struct {
 	// gateway-slot order; its Block fields must match the running
 	// configuration. The controller owns the model from here on.
 	Model *core.System
-	// Decimations holds each admitted stream's decimation factor (block
-	// granularity); nil means all 1.
-	Decimations []int64
 	// PerSlotCost is the configuration-bus cost per reprogrammed slot.
 	PerSlotCost sim.Time
 	// Solver is the Algorithm 1 decision procedure (nil = the production
@@ -182,18 +180,6 @@ type Config struct {
 	// from a script (Play); direct AddStream callers supply engines in the
 	// request spec instead.
 	Engines func(name string) []accel.Engine
-	// Checkpoint and CheckpointCost mirror the controlled chain's
-	// gateway.Recovery.Checkpoint / CheckpointCost. When Checkpoint > 0 the
-	// re-solve guard's transition envelope uses the adjusted Eq. 2 term
-	// τ̂s(K) (core.TauHatCheckpointed): a pause can still only wait for one
-	// in-flight block, but that block now pays its interior checkpoint
-	// quiesces and snapshot transfers — the residue a retry replays shrinks
-	// to K, while the clean-block envelope the guard charges grows by the
-	// checkpoint overhead. Leaving these zero on a checkpointed chain makes
-	// the guard optimistic: a transition overlapping a checkpoint could
-	// measure above its bound.
-	Checkpoint     int64
-	CheckpointCost sim.Time
 }
 
 // Controller is the admission control plane for one chain.
@@ -244,7 +230,7 @@ type canaryProbe struct {
 
 // New attaches a controller to one chain of a running platform. The model
 // must list the chain's current streams in slot order with their running
-// block sizes.
+// block sizes; each stream's block granularity is its spec's decimation.
 func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	if cfg.Chain < 0 || cfg.Chain >= len(ms.Chains) {
 		return nil, fmt.Errorf("admission: chain %d out of range", cfg.Chain)
@@ -257,15 +243,9 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("admission: model has %d streams, chain has %d",
 			len(cfg.Model.Streams), len(ch.Strs))
 	}
-	decim := cfg.Decimations
-	if decim == nil {
-		decim = make([]int64, len(ch.Strs))
-		for i := range decim {
-			decim[i] = 1
-		}
-	}
-	if len(decim) != len(ch.Strs) {
-		return nil, fmt.Errorf("admission: %d decimations for %d streams", len(decim), len(ch.Strs))
+	decim := make([]int64, len(ch.Strs))
+	for i, st := range ch.Strs {
+		decim[i] = max(st.Spec.Decimation, 1)
 	}
 	for i := range cfg.Model.Streams {
 		if cfg.Model.Streams[i].Block != ch.Strs[i].GW.Block {
@@ -280,7 +260,7 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	c := &Controller{
 		ms: ms, ci: cfg.Chain, cfg: cfg, solver: solver,
 		model:  cfg.Model,
-		decim:  append([]int64(nil), decim...),
+		decim:  decim,
 		parked: map[string]*parkedStream{},
 	}
 	for i := range cfg.Model.Streams {
@@ -432,9 +412,10 @@ func checkBuffers(model *core.System, decim []int64, caps [][2]int) (string, err
 // of the slowest stream (τ̂s covers its reconfiguration, streaming and
 // flush — the checkpoint-adjusted τ̂s(K) when the chain checkpoints, since
 // that block also pays its interior quiesces), then the bus transaction
-// reprograms `slots` slots.
+// reprograms `slots` slots. K and Csave are the controlled chain's own, so
+// after a Retarget the bound follows the standby's settings.
 func (c *Controller) transitionBound(slots int) uint64 {
-	return c.model.MaxTauHatCheckpointed(c.cfg.Checkpoint, uint64(c.cfg.CheckpointCost)) +
+	return c.model.MaxTauHatCheckpointed(c.chain().Spec.Checkpointing()) +
 		uint64(c.cfg.PerSlotCost)*uint64(slots)
 }
 
@@ -953,12 +934,12 @@ func (c *Controller) onCanary(slot int, ok bool) {
 // migrated its streams there. Slots are re-mapped BY NAME against the new
 // pair's table (failover preserves order, but the controller should not
 // depend on that), the model's block sizes refresh from the live table (the
-// failover may have re-solved them), and standbyChain — when the standby's
-// engine set differs — replaces the model's chain parameters. A transition
+// failover may have re-solved them), and the model's chain parameters become
+// the target chain's (mpsoc.ChainSpec.CoreChain). A transition
 // that was pending on the dead pair is aborted: its pause callback died
 // with the pair, so the busy gate is released and the generation bump turns
 // any still-scheduled completion into a no-op.
-func (c *Controller) Retarget(chain int, standbyChain *core.Chain) error {
+func (c *Controller) Retarget(chain int) error {
 	if chain < 0 || chain >= len(c.ms.Chains) {
 		return fmt.Errorf("admission: retarget chain %d out of range", chain)
 	}
@@ -1005,10 +986,7 @@ func (c *Controller) Retarget(chain int, standbyChain *core.Chain) error {
 	for _, name := range parkedNames {
 		c.parked[name].slot = slotByName[name]
 	}
-	if standbyChain != nil {
-		c.model.Chain = *standbyChain
-		c.model.Chain.AccelCosts = append([]uint64(nil), standbyChain.AccelCosts...)
-	}
+	c.model.Chain = ch.Spec.CoreChain()
 	c.gwSlot = newSlots
 	c.ci = chain
 	c.pendingCanary = nil // a probe cannot survive its pair

@@ -12,11 +12,13 @@ import (
 	"accelshare/internal/accel"
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
+	"accelshare/internal/sim"
 )
 
-// buildFailoverBed is buildBed plus an empty standby chain and a failover
+// buildFailoverBed is buildBed plus an empty standby chain, whose
+// accelerator costs standbyCost cycles per sample, and a failover
 // controller wired between the two.
-func buildFailoverBed(t *testing.T) (*bed, *mpsoc.FailoverController) {
+func buildFailoverBed(t *testing.T, standbyCost sim.Time) (*bed, *mpsoc.FailoverController) {
 	t.Helper()
 	rate := big.NewRat(1, period)
 	model := demoModel(
@@ -54,7 +56,7 @@ func buildFailoverBed(t *testing.T) (*bed, *mpsoc.FailoverController) {
 			{
 				Name: "demo-b", EntryCost: entryCost, ExitCost: 1,
 				Mode:    gateway.ReconfigFixed,
-				Accels:  []mpsoc.AccelSpec{{Name: "acc-b", Cost: 1, NICapacity: 2}},
+				Accels:  []mpsoc.AccelSpec{{Name: "acc-b", Cost: standbyCost, NICapacity: 2}},
 				Standby: true, DrainTimeout: 200,
 				Recovery:          recoveryCfg(),
 				RecordTurnarounds: true,
@@ -88,15 +90,15 @@ func buildFailoverBed(t *testing.T) (*bed, *mpsoc.FailoverController) {
 }
 
 func TestRetargetValidation(t *testing.T) {
-	b, _ := buildFailoverBed(t)
-	if err := b.ctrl.Retarget(0, nil); err == nil {
+	b, _ := buildFailoverBed(t, 1)
+	if err := b.ctrl.Retarget(0); err == nil {
 		t.Error("retarget onto the current chain accepted")
 	}
-	if err := b.ctrl.Retarget(7, nil); err == nil {
+	if err := b.ctrl.Retarget(7); err == nil {
 		t.Error("retarget out of range accepted")
 	}
 	// The standby carries no streams yet: every admitted slot is unmappable.
-	if err := b.ctrl.Retarget(1, nil); err == nil {
+	if err := b.ctrl.Retarget(1); err == nil {
 		t.Error("retarget onto a chain missing the admitted streams accepted")
 	}
 }
@@ -105,7 +107,7 @@ func TestRetargetValidation(t *testing.T) {
 // then the controller keeps working on the standby — removing one stream and
 // admitting a new one, with bounds holding after each transition.
 func TestRetargetAfterFailover(t *testing.T) {
-	b, fc := buildFailoverBed(t)
+	b, fc := buildFailoverBed(t, 1)
 	k := b.ms.K
 	k.ScheduleAt(5_000, func() { fc.Trigger("operator") })
 	k.Run(20_000)
@@ -117,7 +119,7 @@ func TestRetargetAfterFailover(t *testing.T) {
 	if rec.MeasuredCycles > rec.BoundCycles {
 		t.Fatalf("failover cost %d > bound %d", rec.MeasuredCycles, rec.BoundCycles)
 	}
-	if err := b.ctrl.Retarget(1, nil); err != nil {
+	if err := b.ctrl.Retarget(1); err != nil {
 		t.Fatal(err)
 	}
 	if !b.hasEvent(EvRetarget, "demo-b") {
@@ -156,7 +158,7 @@ func TestRetargetAfterFailover(t *testing.T) {
 // failed primary (its pause callback died with the freeze) must not wedge
 // the controller forever — Retarget clears the stale busy gate.
 func TestRetargetReleasesStaleTransition(t *testing.T) {
-	b, fc := buildFailoverBed(t)
+	b, fc := buildFailoverBed(t, 1)
 	k := b.ms.K
 
 	// Start an add whose staged transition will be killed by the freeze.
@@ -175,7 +177,7 @@ func TestRetargetReleasesStaleTransition(t *testing.T) {
 	if fc.Record() == nil {
 		t.Fatal("failover never completed")
 	}
-	if err := b.ctrl.Retarget(1, nil); err != nil {
+	if err := b.ctrl.Retarget(1); err != nil {
 		t.Fatalf("retarget after a stale transition: %v", err)
 	}
 	_ = verdict // the interrupted add may or may not have completed; either is fine
@@ -186,5 +188,40 @@ func TestRetargetReleasesStaleTransition(t *testing.T) {
 	k.Run(50_000)
 	if added == nil || !added.Accepted {
 		t.Fatalf("add s6 after retarget: %+v", added)
+	}
+}
+
+// TestRetargetTakesStandbyChain: after a failover onto a slower standby
+// (ρA = 16 > ε, so c0 rises from 15 to 16), the controller's model carries
+// the standby's chain parameters, and the next transition's bound is
+// computed at the standby's c0.
+func TestRetargetTakesStandbyChain(t *testing.T) {
+	b, fc := buildFailoverBed(t, 16)
+	k := b.ms.K
+	k.ScheduleAt(5_000, func() { fc.Trigger("operator") })
+	k.Run(20_000)
+	if fc.Record() == nil {
+		t.Fatal("failover never completed")
+	}
+	if err := b.ctrl.Retarget(1); err != nil {
+		t.Fatal(err)
+	}
+	ch := b.ctrl.Model().Chain
+	if ch.Name != "demo-b" || len(ch.AccelCosts) != 1 || ch.AccelCosts[0] != 16 || ch.C0() != 16 {
+		t.Fatalf("model chain after retarget = %+v, want the standby's (ρA = 16)", ch)
+	}
+	var want uint64
+	for _, sn := range b.ms.Chains[1].Pair.Snapshot() {
+		want = max(want, rsCycles+uint64(sn.Block+2)*16)
+	}
+	want += 4 * 10
+	var removed *Verdict
+	b.ctrl.RemoveStream("s4", func(v Verdict) { removed = &v })
+	k.Run(30_000)
+	if removed == nil || !removed.Accepted {
+		t.Fatalf("remove s4 on the standby: %+v", removed)
+	}
+	if removed.BoundCycles != want {
+		t.Errorf("remove bound %d, want max τ̂s at c0 = 16 + 4 slots × 10 = %d", removed.BoundCycles, want)
 	}
 }

@@ -213,7 +213,6 @@ type chainInfo struct {
 	name  string
 	pos   int // index into Controller.chains / Config.Chains
 	idx   int // index into MultiSystem.Chains
-	spec  ChainSpec
 	state chainState
 	ctrl  *admission.Controller
 }
@@ -337,7 +336,7 @@ func New(cfg Config) (*Controller, error) {
 			ms.Standby = true
 		} else {
 			rname := "r-" + cs.Name
-			model := &core.System{Chain: c.coreChain(cs), ClockHz: 1, Streams: []core.Stream{{
+			model := &core.System{Chain: ms.CoreChain(), ClockHz: 1, Streams: []core.Stream{{
 				Name:     rname,
 				Rate:     big.NewRat(1, cfg.ResidentPeriod),
 				Reconfig: uint64(cfg.Reconfig),
@@ -370,7 +369,7 @@ func New(cfg Config) (*Controller, error) {
 	c.k = plat.K
 
 	for pos, cs := range cfg.Chains {
-		ci := &chainInfo{name: cs.Name, pos: pos, idx: pos, spec: cs}
+		ci := &chainInfo{name: cs.Name, pos: pos, idx: pos}
 		c.chains = append(c.chains, ci)
 		if cs.Spare {
 			if cs.OnlineAt > 0 {
@@ -384,12 +383,10 @@ func New(cfg Config) (*Controller, error) {
 		}
 		ci.state = chainServing
 		ctrl, err := admission.New(plat, admission.Config{
-			Chain:          pos,
-			Model:          models[pos],
-			PerSlotCost:    cfg.PerSlotCost,
-			Solver:         cfg.Solver,
-			Checkpoint:     cfg.Recovery.Checkpoint,
-			CheckpointCost: cfg.Recovery.CheckpointCost,
+			Chain:       pos,
+			Model:       models[pos],
+			PerSlotCost: cfg.PerSlotCost,
+			Solver:      cfg.Solver,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chain %q: %w", cs.Name, err)
@@ -408,16 +405,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.scheduleRebalance()
 	return c, nil
-}
-
-func (c *Controller) coreChain(cs ChainSpec) core.Chain {
-	return core.Chain{
-		Name:       cs.Name,
-		AccelCosts: []uint64{uint64(cs.AccelCost)},
-		EntryCost:  uint64(c.cfg.EntryCost),
-		ExitCost:   uint64(c.cfg.ExitCost),
-		NICapacity: 2,
-	}
 }
 
 // System exposes the underlying platform (conformance, reports).
@@ -783,13 +770,11 @@ func (c *Controller) pickSpare() *chainInfo {
 // failover is rung 1: migrate the whole chain to a standby pair.
 func (c *Controller) failover(ci, sp *chainInfo, reason string) {
 	fc, err := mpsoc.NewFailover(c.ms, mpsoc.FailoverConfig{
-		Primary:        ci.idx,
-		Standby:        sp.idx,
-		Model:          ci.ctrl.Model(),
-		PerSlotCost:    c.cfg.PerSlotCost,
-		Checkpoint:     c.cfg.Recovery.Checkpoint,
-		CheckpointCost: c.cfg.Recovery.CheckpointCost,
-		OnComplete:     func(rec mpsoc.Record) { c.onFailoverDone(ci, sp, rec) },
+		Primary:     ci.idx,
+		Standby:     sp.idx,
+		Model:       ci.ctrl.Model(),
+		PerSlotCost: c.cfg.PerSlotCost,
+		OnComplete:  func(rec mpsoc.Record) { c.onFailoverDone(ci, sp, rec) },
 	})
 	if err == nil {
 		err = fc.Trigger(reason)
@@ -807,12 +792,7 @@ func (c *Controller) failover(ci, sp *chainInfo, reason string) {
 }
 
 func (c *Controller) onFailoverDone(ci, sp *chainInfo, rec mpsoc.Record) {
-	var stdChain *core.Chain
-	if sp.spec.AccelCost != ci.spec.AccelCost {
-		std := c.coreChain(sp.spec)
-		stdChain = &std
-	}
-	if err := ci.ctrl.Retarget(sp.idx, stdChain); err != nil {
+	if err := ci.ctrl.Retarget(sp.idx); err != nil {
 		// Leaves the fleet without a controller for these streams; record
 		// loudly rather than guessing.
 		c.event(EvFailover, sp.name, "", fmt.Sprintf("retarget failed: %v", err))
@@ -903,7 +883,7 @@ func (c *Controller) reissuePending(ci *chainInfo) {
 // stream individually (rung 3, shed, per stream when no target admits it).
 func (c *Controller) evacuate(ci *chainInfo, reason string) {
 	msch := c.ms.Chains[ci.idx]
-	settle := c.settle(ci.ctrl.Model())
+	settle := c.settle(ci)
 	if err := msch.Pair.FreezeForFailover(); err != nil {
 		c.event(EvEvacuate, ci.name, "", fmt.Sprintf("freeze failed: %v", err))
 		return
@@ -1079,14 +1059,12 @@ func (c *Controller) onHeal(ci *chainInfo) {
 		c.event(EvHeal, ci.name, "", "online as spare")
 		return
 	}
-	model := &core.System{Chain: c.coreChain(ci.spec), ClockHz: 1}
+	model := &core.System{Chain: c.ms.Chains[ci.idx].Spec.CoreChain(), ClockHz: 1}
 	ctrl, err := admission.New(c.ms, admission.Config{
-		Chain:          ci.idx,
-		Model:          model,
-		PerSlotCost:    c.cfg.PerSlotCost,
-		Solver:         c.cfg.Solver,
-		Checkpoint:     c.cfg.Recovery.Checkpoint,
-		CheckpointCost: c.cfg.Recovery.CheckpointCost,
+		Chain:       ci.idx,
+		Model:       model,
+		PerSlotCost: c.cfg.PerSlotCost,
+		Solver:      c.cfg.Solver,
 	})
 	if err != nil {
 		ci.state = chainSpare
@@ -1210,7 +1188,8 @@ func (c *Controller) Conformance(opt conformance.Options) ([]ChainConformance, e
 		if len(model.Streams) == 0 {
 			continue
 		}
-		bounds, err := conformance.FromModelCheckpointed(model, c.cfg.Recovery.Checkpoint, uint64(c.cfg.Recovery.CheckpointCost))
+		k, saveCost := c.ms.Chains[ci.idx].Spec.Checkpointing()
+		bounds, err := conformance.FromModelCheckpointed(model, k, saveCost)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chain %q bounds: %w", ci.name, err)
 		}

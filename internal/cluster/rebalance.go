@@ -325,7 +325,7 @@ func (c *Controller) startMove(op *moveOp) bool {
 	// The settle clamp uses the source model max τ̂s(K) captured BEFORE the
 	// removal commits: the departing victim's own block attempt is part of
 	// what the settle must cover.
-	settle := c.settle(op.from.ctrl.Model())
+	settle := c.settle(op.from)
 	si.moving = true
 	si.inflight = true
 	si.pendingOn = op.from.pos
@@ -456,19 +456,11 @@ func (c *Controller) finishMoveAborted(op *moveOp, why string) {
 	c.nextMove()
 }
 
-// settle is the wait for in-flight ring words after a chain freezes or a
-// stream is released (shared by evacuation and rebalancing): the recovery
-// flush delay, else the drain timeout, clamped to the model's max τ̂s(K).
-func (c *Controller) settle(model *core.System) sim.Time {
-	settle := c.cfg.Recovery.FlushDelay
-	if settle == 0 {
-		settle = c.cfg.DrainTimeout
-	}
-	if maxTau := model.MaxTauHatCheckpointed(c.cfg.Recovery.Checkpoint, uint64(c.cfg.Recovery.CheckpointCost)); maxTau > 0 && settle > sim.Time(maxTau) {
-		settle = sim.Time(maxTau)
-	}
-	if settle == 0 {
-		settle = 1
-	}
-	return settle
+// settle is the wait for in-flight ring words after chain ci freezes or
+// releases a stream (shared by evacuation and rebalancing): the chain's
+// mpsoc.ChainSpec.Settle over its live model's max τ̂s(K), at least one
+// cycle.
+func (c *Controller) settle(ci *chainInfo) sim.Time {
+	spec := &c.ms.Chains[ci.idx].Spec
+	return max(spec.Settle(ci.ctrl.Model().MaxTauHatCheckpointed(spec.Checkpointing())), 1)
 }

@@ -9,9 +9,9 @@ package mpsoc
 //
 //	freeze    — retire the sick pair (gateway.FreezeForFailover), gate the
 //	            source-side C-FIFO producers (cfifo.BeginRepoint)
-//	settle    — wait out the worst-case in-flight residue, clamped to the
+//	settle    — wait out the primary's DrainTimeout, clamped to the
 //	            outgoing configuration's max τ̂s (one block attempt is the
-//	            longest anything can remain in flight)
+//	            longest anything can remain in flight; ChainSpec.Settle)
 //	migrate   — export stream state from the dead pair, re-point the C-FIFO
 //	            endpoints to the standby's ring nodes, import every stream
 //	            onto the paused standby
@@ -21,7 +21,9 @@ package mpsoc
 //
 // The measured cost (trigger → resume) is recorded against the derived
 // bound: max τ̂s of the outgoing configuration plus the per-slot bus cost of
-// the transition (Eq. 2 + the admission transition model). The controller
+// the transition (Eq. 2 + the admission transition model). The chain
+// parameters behind both — K and Csave for τ̂s(K), the standby's ρA for the
+// re-solve — come from the chains' own specs. The controller
 // adds no nondeterminism: given the same platform and fault plan, the
 // failover lands on the same cycle every run.
 
@@ -47,25 +49,10 @@ type FailoverConfig struct {
 	// PerSlotCost is the configuration-bus cost per reprogrammed slot, the
 	// same constant the admission controller charges.
 	PerSlotCost sim.Time
-	// SettleDelay overrides the freeze settle time (0 = the primary's
-	// FlushDelay, else its DrainTimeout). Whatever the source, it is clamped
-	// to the model's max τ̂s so the measured cost stays within the bound.
-	SettleDelay sim.Time
 	// Resolve re-runs Algorithm 1 (warm-started) for the migrated streams
-	// before reprogramming, against StandbyChain when the standby's engine
-	// slots differ from the primary's. Without it the outgoing block sizes
-	// are kept verbatim.
-	Resolve      bool
-	StandbyChain *core.Chain
-	// Checkpoint and CheckpointCost mirror the primary's
-	// gateway.Recovery.Checkpoint / CheckpointCost. When Checkpoint > 0 the
-	// cost bound uses the adjusted Eq. 2 term τ̂s(K)
-	// (core.TauHatCheckpointed) instead of the plain τ̂s: checkpoint
-	// quiesces stretch each clean block, so the settle clamp and the
-	// failover bound must absorb them, while the migrated block's replay
-	// residue shrinks from O(ηs) to O(K).
-	Checkpoint     int64
-	CheckpointCost sim.Time
+	// before reprogramming, against the standby's chain parameters. Without
+	// it the outgoing block sizes are kept verbatim.
+	Resolve bool
 	// OnComplete observes the finished failover.
 	OnComplete func(Record)
 }
@@ -124,6 +111,9 @@ func NewFailover(ms *MultiSystem, cfg FailoverConfig) (*FailoverController, erro
 	if !pri.Spec.Recovery.Enabled {
 		return nil, fmt.Errorf("failover: primary chain %q needs recovery enabled (replay snapshots)", pri.Spec.Name)
 	}
+	if pri.Spec.DrainTimeout == 0 {
+		return nil, fmt.Errorf("failover: primary chain %q needs a drain watchdog (DrainTimeout) to settle the freeze", pri.Spec.Name)
+	}
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("failover: need the primary's temporal model for the cost bound")
 	}
@@ -156,7 +146,8 @@ func (fc *FailoverController) Record() *Record { return fc.rec }
 
 // Trigger starts the failover immediately (at most once): freeze the
 // primary, gate the producers, and schedule the migration after the settle
-// delay. Reason is recorded verbatim.
+// delay. Reason is recorded verbatim. The freeze is the only step that can
+// fail, and it fails before retiring anything.
 func (fc *FailoverController) Trigger(reason string) error {
 	if fc.triggered {
 		return fmt.Errorf("failover: already triggered")
@@ -166,8 +157,9 @@ func (fc *FailoverController) Trigger(reason string) error {
 
 	// Refresh the model's block sizes from the live gateway before freezing:
 	// admission-control transitions may have re-sized slots since build.
-	snaps := fc.pri.Pair.Snapshot()
-	maxTau := fc.refreshModel(snaps)
+	maxTau := fc.refreshModel(fc.pri.Pair.Snapshot())
+	// NewFailover guarantees a watchdog, so the settle is positive.
+	settle := fc.pri.Spec.Settle(maxTau)
 
 	if err := fc.pri.Pair.FreezeForFailover(); err != nil {
 		return err
@@ -179,22 +171,6 @@ func (fc *FailoverController) Trigger(reason string) error {
 			continue
 		}
 		st.In.BeginRepoint()
-	}
-	settle := fc.cfg.SettleDelay
-	if settle == 0 {
-		settle = fc.pri.Spec.Recovery.FlushDelay
-	}
-	if settle == 0 {
-		settle = fc.pri.Spec.DrainTimeout
-	}
-	if maxTau > 0 && settle > sim.Time(maxTau) {
-		// One block attempt bounds how long anything stays in flight; a
-		// longer settle would push the measured cost past the bound for no
-		// extra safety.
-		settle = sim.Time(maxTau)
-	}
-	if settle <= 0 {
-		return fmt.Errorf("failover: no usable settle delay (set SettleDelay)")
 	}
 	fc.ms.K.Schedule(settle, func() { fc.migrate(reason, now, settle, maxTau) })
 	return nil
@@ -208,6 +184,7 @@ func (fc *FailoverController) refreshModel(snaps []gateway.StreamSnapshot) uint6
 	for _, sn := range snaps {
 		byName[sn.Name] = sn
 	}
+	k, saveCost := fc.pri.Spec.Checkpointing()
 	var maxTau uint64
 	for i := range fc.cfg.Model.Streams {
 		ms := &fc.cfg.Model.Streams[i]
@@ -219,7 +196,7 @@ func (fc *FailoverController) refreshModel(snaps []gateway.StreamSnapshot) uint6
 		if sn.Quarantined || sn.Suspended {
 			continue
 		}
-		if tau, err := fc.cfg.Model.TauHatCheckpointed(i, fc.cfg.Checkpoint, uint64(fc.cfg.CheckpointCost)); err == nil && tau > maxTau {
+		if tau, err := fc.cfg.Model.TauHatCheckpointed(i, k, saveCost); err == nil && tau > maxTau {
 			maxTau = tau
 		}
 	}
@@ -340,14 +317,11 @@ func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Tim
 }
 
 // resolve re-runs Algorithm 1 warm-started from the outgoing block sizes,
-// against the standby's chain parameters when they differ. Granularity is
-// each stream's decimation so the exit-gateway OutBlock stays exact.
+// against the standby's chain parameters. Granularity is each stream's
+// decimation so the exit-gateway OutBlock stays exact.
 func (fc *FailoverController) resolve(exports []gateway.StreamExport, decims []int64) ([]int64, error) {
 	model := fc.cfg.Model.Clone()
-	if fc.cfg.StandbyChain != nil {
-		model.Chain = *fc.cfg.StandbyChain
-		model.Chain.AccelCosts = append([]uint64(nil), fc.cfg.StandbyChain.AccelCosts...)
-	}
+	model.Chain = fc.stb.Spec.CoreChain()
 	// The model must cover exactly the migrated slots, in slot order.
 	byName := make(map[string]int, len(model.Streams))
 	for i := range model.Streams {

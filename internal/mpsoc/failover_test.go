@@ -206,7 +206,6 @@ func TestChainFailoverCheckpointed(t *testing.T) {
 	ms, model := failoverPlatformRec(t, plan, 3, []int64{75, 75, 75}, 1, rec)
 	fc, err := NewFailover(ms, FailoverConfig{
 		Primary: 0, Standby: 1, Model: model, PerSlotCost: 10,
-		Checkpoint: K, CheckpointCost: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,15 +346,19 @@ func TestFailoverSweep(t *testing.T) {
 // from small outgoing blocks of two streams at utilisation 0.999995, climbs
 // to the ILP's Σ = 4 799 976 instead of giving up on a round budget.
 func TestStandbyResolveNearSaturation(t *testing.T) {
+	standby := &Chain{Spec: ChainSpec{
+		Name: "sat", EntryCost: 1, ExitCost: 1,
+		Accels: []AccelSpec{{Name: "acc", Cost: 1}},
+	}}
 	model := &core.System{
-		Chain:   core.Chain{Name: "sat", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1, NICapacity: 2},
+		Chain:   standby.Spec.CoreChain(),
 		ClockHz: 1_000_000,
 		Streams: []core.Stream{
 			{Name: "a", Rate: big.NewRat(999_995, 2), Reconfig: 10, Block: 16},
 			{Name: "b", Rate: big.NewRat(999_995, 2), Reconfig: 10, Block: 16},
 		},
 	}
-	fc := &FailoverController{cfg: FailoverConfig{Model: model, Resolve: true}}
+	fc := &FailoverController{cfg: FailoverConfig{Model: model, Resolve: true}, stb: standby}
 	exports := []gateway.StreamExport{
 		{Stream: &gateway.Stream{Name: "a", Block: 16}},
 		{Stream: &gateway.Stream{Name: "b", Block: 16}},
@@ -366,5 +369,54 @@ func TestStandbyResolveNearSaturation(t *testing.T) {
 	}
 	if blocks[0]+blocks[1] != 4_799_976 {
 		t.Fatalf("standby re-solve %v, want Σ = 4799976", blocks)
+	}
+}
+
+// TestFailoverNeedsWatchdog: the freeze settle is the primary's
+// DrainTimeout, so a primary without a watchdog is refused when the
+// controller is built. Accepting it would let Trigger retire a chain it then
+// cannot migrate: frozen, producers gated, no stream ever reaching the
+// standby.
+func TestFailoverNeedsWatchdog(t *testing.T) {
+	rec := gateway.Recovery{Enabled: true, RetryLimit: 2}
+	ms, err := BuildMulti(MultiConfig{
+		Name: "fo-nowd",
+		Chains: []ChainSpec{
+			{
+				Name: "primary", EntryCost: 15, ExitCost: 1, Mode: gateway.ReconfigFixed,
+				Accels: []AccelSpec{{Name: "acc", Cost: 1}},
+				Streams: []StreamSpec{{
+					Name: "s0", Block: 16, Decimation: 1, Reconfig: 50,
+					InCapacity: 128, OutCapacity: 64, SourcePeriod: 75,
+					Engines: []accel.Engine{&accel.Gain{}},
+				}},
+				Recovery: rec,
+			},
+			{
+				Name: "standby", EntryCost: 15, ExitCost: 1, Mode: gateway.ReconfigFixed,
+				Accels:  []AccelSpec{{Name: "acc-b", Cost: 1}},
+				Standby: true, DrainTimeout: 600, Recovery: rec,
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &core.System{Chain: ms.Chains[0].Spec.CoreChain(), ClockHz: 1, Streams: []core.Stream{
+		{Name: "s0", Rate: big.NewRat(1, 75), Reconfig: 50, Block: 16},
+	}}
+	fc, err := NewFailover(ms, FailoverConfig{Primary: 0, Standby: 1, Model: model, PerSlotCost: 10})
+	if err == nil {
+		ms.K.ScheduleAt(5_000, func() { _ = fc.Trigger("operator") })
+		ms.Run(20_000)
+		t.Fatalf("failover accepted a primary without a watchdog (primary failed=%v, standby streams=%d)",
+			ms.Chains[0].Pair.Failed(), len(ms.Chains[1].Strs))
+	}
+	ms.Run(20_000)
+	if ms.Chains[0].Pair.Failed() {
+		t.Fatal("refused failover still froze the primary")
+	}
+	if blocks := ms.Chains[0].Pair.Snapshot()[0].Blocks; blocks == 0 {
+		t.Fatal("primary stopped serving")
 	}
 }

@@ -14,9 +14,10 @@
 // output watermark of a checkpointed in-flight block — re-points the
 // C-FIFOs and resumes on a standby pair. The measured freeze→resume cost is
 // checked against the bound max τ̂s + slots·bus-cost, where τ̂s is the
-// adjusted Eq. 2 term τ̂s(K) when FailoverConfig.Checkpoint is set, and the
-// survivor re-solve (Algorithm 1, warm-started) must never shrink a block
-// below its migrated residue's resume point.
+// adjusted Eq. 2 term τ̂s(K) when the primary checkpoints
+// (ChainSpec.Checkpointing), and the survivor re-solve (Algorithm 1,
+// warm-started against the standby's ChainSpec.CoreChain) must never
+// shrink a block below its migrated residue's resume point.
 package mpsoc
 
 import (
@@ -33,8 +34,15 @@ type AccelSpec struct {
 	Name string
 	// Cost is ρA in cycles per sample.
 	Cost sim.Time
-	// NICapacity is the NI FIFO depth (the paper's α1/α2 = 2).
+	// NICapacity is the NI FIFO depth (0 = the paper's α1/α2 = 2).
 	NICapacity int
+}
+
+func (a AccelSpec) niDepth() int {
+	if a.NICapacity == 0 {
+		return 2
+	}
+	return a.NICapacity
 }
 
 // StreamSpec describes one stream multiplexed over the chain.
@@ -94,11 +102,10 @@ type Config struct {
 	RecordActivity      bool
 	UseSlottedRing      bool
 	DisableSpaceCheck   bool
-	// DrainTimeout/Recovery/OnStall/Faults/RecordTurnarounds configure the
+	// DrainTimeout/Recovery/Faults/RecordTurnarounds configure the
 	// watchdog and fault subsystem; see ChainSpec.
 	DrainTimeout      sim.Time
 	Recovery          gateway.Recovery
-	OnStall           func(stream int)
 	Faults            *fault.Plan
 	RecordTurnarounds bool
 	Accels            []AccelSpec
@@ -177,7 +184,6 @@ func Build(cfg Config) (*System, error) {
 			DisableSpaceCheck: cfg.DisableSpaceCheck,
 			DrainTimeout:      cfg.DrainTimeout,
 			Recovery:          cfg.Recovery,
-			OnStall:           cfg.OnStall,
 			Faults:            cfg.Faults,
 			RecordTurnarounds: cfg.RecordTurnarounds,
 			Accels:            cfg.Accels,

@@ -10,6 +10,7 @@ import (
 
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
+	"accelshare/internal/core"
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/ring"
@@ -28,8 +29,6 @@ type ChainSpec struct {
 	// Recovery configures flush/retry/quarantine on expiry.
 	DrainTimeout sim.Time
 	Recovery     gateway.Recovery
-	// OnStall is forwarded to the gateway (called per detected stall).
-	OnStall func(stream int)
 	// Faults, when non-nil, is armed against this chain: engine-level
 	// faults wrap the streams' engines, wedge faults are scheduled on the
 	// chain's links / the data ring, and lost-idle faults install the
@@ -48,6 +47,45 @@ type ChainSpec struct {
 	Standby bool
 	Accels  []AccelSpec
 	Streams []StreamSpec
+}
+
+// CoreChain returns the temporal-model chain the spec builds: each
+// accelerator's ρA, ε, δ and the NI depth (the shallowest accelerator NI,
+// 2 when unset, as assembly sizes it). Admission, failover and the fleet
+// derive every bound for the chain from it.
+func (s *ChainSpec) CoreChain() core.Chain {
+	ch := core.Chain{Name: s.Name, EntryCost: uint64(s.EntryCost), ExitCost: uint64(s.ExitCost)}
+	for _, a := range s.Accels {
+		ch.AccelCosts = append(ch.AccelCosts, uint64(a.Cost))
+		if ni := int64(a.niDepth()); ch.NICapacity == 0 || ni < ch.NICapacity {
+			ch.NICapacity = ni
+		}
+	}
+	return ch
+}
+
+// Checkpointing returns the checkpoint interval K and snapshot cost Csave
+// the chain's gateway runs with: Recovery.Checkpoint and CheckpointCost
+// when recovery is enabled, else 0 (the gateway only checkpoints inside
+// the recovery machinery). They select the adjusted Eq. 2 term τ̂s(K).
+func (s *ChainSpec) Checkpointing() (k int64, saveCost uint64) {
+	if !s.Recovery.Enabled {
+		return 0, 0
+	}
+	return s.Recovery.Checkpoint, uint64(s.Recovery.CheckpointCost)
+}
+
+// Settle is how long the chain waits for its in-flight ring words after a
+// freeze or a stream release: the watchdog window DrainTimeout (the
+// gateway's own flush settle, longer than any interconnect transit plus one
+// sample service), clamped to maxTau, the longest one block attempt takes.
+// Nothing stays in flight longer than one attempt, so a longer wait would
+// only push a measured cost past its bound.
+func (s *ChainSpec) Settle(maxTau uint64) sim.Time {
+	if maxTau > 0 && s.DrainTimeout > sim.Time(maxTau) {
+		return sim.Time(maxTau)
+	}
+	return s.DrainTimeout
 }
 
 // MultiConfig assembles a platform with several shared chains on one ring.
@@ -156,11 +194,7 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 
 	ch := &Chain{Spec: spec, EntryNode: entryN, ExitNode: exitN}
 	for _, as := range spec.Accels {
-		ni := as.NICapacity
-		if ni == 0 {
-			ni = 2
-		}
-		ch.Tiles = append(ch.Tiles, accel.NewTile(as.Name, k, as.Cost, ni))
+		ch.Tiles = append(ch.Tiles, accel.NewTile(as.Name, k, as.Cost, as.niDepth()))
 	}
 	entryLink := accel.NewLink("entry->"+spec.Accels[0].Name, k, net,
 		entryN, accelN[0], portData, portCredit, ch.Tiles[0].In())
@@ -193,7 +227,6 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 		DisableSpaceCheck: spec.DisableSpaceCheck,
 		DrainTimeout:      spec.DrainTimeout,
 		Recovery:          spec.Recovery,
-		OnStall:           spec.OnStall,
 		RecordTurnarounds: spec.RecordTurnarounds,
 	}
 	if spec.Faults != nil {

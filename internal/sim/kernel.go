@@ -23,7 +23,7 @@ import "math/bits"
 // handful of word scans (math/bits.TrailingZeros64) instead of walking 4096
 // slots. The semantics — including the "scheduling into the past" panic and
 // Run's horizon clamp — are identical to the reference heap implementation in
-// kernel_ref.go; TestKernelDifferential and FuzzKernelSchedule enforce that.
+// kernel_ref_test.go; TestKernelDifferential and FuzzKernelSchedule enforce that.
 
 const (
 	wheelBits  = 12

@@ -14,7 +14,7 @@ package sim
 type Time = uint64
 
 // The Kernel (clock + event scheduler) lives in kernel.go: a timing-wheel
-// scheduler with pooled zero-alloc event records. kernel_ref.go keeps the
+// scheduler with pooled zero-alloc event records. kernel_ref_test.go keeps the
 // original binary-heap scheduler as the reference implementation for the
 // differential and fuzz harnesses.
 

@@ -14,10 +14,9 @@
 //   - Verify is the exact acceptance check of any candidate assignment,
 //     built on the kernel's operator.
 //
-// SolveShards solves independent per-chain problems concurrently with a
-// deterministic merge, and Fits/PlanPlacement are the cheap feasibility
-// combination step for cluster-wide placement: exact utilisation headroom
-// decides which chain can possibly take a stream before any full solve runs.
+// PlanRebalance is the exact cross-chain move search the fleet's
+// rebalancer runs; placement itself goes through each chain's admission
+// controller.
 //
 // Solvers do not mutate the Problem's model; callers commit Result.Blocks
 // themselves. All implementations are safe for concurrent use.
