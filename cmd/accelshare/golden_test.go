@@ -1,12 +1,13 @@
 package main
 
 // Golden-file harness shared by every campaign command whose output is an
-// acceptance artifact (faults, admit, failover, chaos). Each campaign must
+// acceptance artifact (faults, admit, failover, chaos, and the single-chain
+// simulation transcripts of main_test.go). Each campaign must
 // be byte-identical run-to-run AND byte-identical to the checked-in golden.
 // After verifying a behavioural change that legitimately moves the output,
 // regenerate every golden with
 //
-//	go test ./cmd/accelshare -run Golden -update
+//	go test ./cmd/accelshare -run 'Golden|SimulationCommands|RotationCommand' -update
 //
 // and review the diff before committing.
 

@@ -2,10 +2,14 @@ package main
 
 // Smoke tests: every experiment command must run to completion without
 // error on its default arguments. The expensive simulation commands are
-// trimmed via flags where possible and skipped under -short.
+// trimmed via flags where possible and skipped under -short; the
+// single-chain simulation transcripts are also pinned to goldens.
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"os"
 	"testing"
 )
 
@@ -38,6 +42,44 @@ func runCmd(t *testing.T, name string, args ...string) {
 	t.Fatalf("command %q not registered", name)
 }
 
+// stdoutOf returns a campaign that runs a registered command and captures
+// what it prints to os.Stdout (the package's tests do not run in parallel,
+// so swapping the global is safe).
+func stdoutOf(name string, args ...string) func(w *bytes.Buffer) error {
+	return func(w *bytes.Buffer) error {
+		r, pw, err := os.Pipe()
+		if err != nil {
+			return err
+		}
+		done := make(chan error)
+		go func() { _, err := io.Copy(w, r); done <- err }()
+		saved := os.Stdout
+		os.Stdout = pw
+		runErr := func() error {
+			for _, c := range commands {
+				if c.name == name {
+					return c.run(args)
+				}
+			}
+			return fmt.Errorf("command %q not registered", name)
+		}()
+		os.Stdout = saved
+		pw.Close()
+		if err := <-done; err != nil {
+			return err
+		}
+		r.Close()
+		return runErr
+	}
+}
+
+// checkCommandGolden runs a command twice, requires byte-identical output
+// and compares it against testdata/<golden>.
+func checkCommandGolden(t *testing.T, golden, name string, args ...string) {
+	t.Helper()
+	checkGolden(t, golden, runTwice(t, name, stdoutOf(name, args...)))
+}
+
 func TestAnalysisCommands(t *testing.T) {
 	runCmd(t, "blocksizes")
 	runCmd(t, "blocksizes", "-granularity", "8")
@@ -66,7 +108,7 @@ func TestRotationCommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rotation runs the PAL simulation")
 	}
-	runCmd(t, "rotation", "-seconds", "0.008")
+	checkCommandGolden(t, "rotation.golden", "rotation", "-seconds", "0.008")
 }
 
 func TestRingVsCrossbarCommand(t *testing.T) {
@@ -81,11 +123,11 @@ func TestSimulationCommands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation commands are expensive")
 	}
-	runCmd(t, "paldemo", "-seconds", "0.01")
-	runCmd(t, "utilization", "-seconds", "0.01")
-	runCmd(t, "utilization", "-sw-state")
-	runCmd(t, "ablation-spacecheck")
-	runCmd(t, "ablation-arbiter")
+	checkCommandGolden(t, "paldemo.golden", "paldemo", "-seconds", "0.01")
+	checkCommandGolden(t, "utilization.golden", "utilization", "-seconds", "0.01")
+	checkCommandGolden(t, "utilization_sw_state.golden", "utilization", "-sw-state")
+	checkCommandGolden(t, "ablation_spacecheck.golden", "ablation-spacecheck")
+	checkCommandGolden(t, "ablation_arbiter.golden", "ablation-arbiter")
 }
 
 func TestFaultsCommand(t *testing.T) {
