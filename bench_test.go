@@ -222,8 +222,8 @@ func BenchmarkStateSwitchModes(b *testing.B) {
 	run := func(b *testing.B, mode gateway.ReconfigMode) mpsoc.Report {
 		fir1, _ := accel.NewFIR(make([]int32, 33), 1)
 		fir2, _ := accel.NewFIR(make([]int32, 33), 1)
-		cfg := mpsoc.Config{
-			Name: "a3", HopLatency: 1, EntryCost: 15, ExitCost: 1,
+		cfg := mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{{
+			Name: "a3", EntryCost: 15, ExitCost: 1,
 			Mode: mode, BusBase: 200, BusPerWord: 500,
 			Accels: []mpsoc.AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
 			Streams: []mpsoc.StreamSpec{
@@ -234,7 +234,7 @@ func BenchmarkStateSwitchModes(b *testing.B) {
 					InCapacity: 256, OutCapacity: 256,
 					Engines: []accel.Engine{fir2}, TotalInputs: 2048},
 			},
-		}
+		}}}
 		sys, err := mpsoc.Build(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -264,8 +264,8 @@ func BenchmarkStateSwitchModes(b *testing.B) {
 // disabled (the head-of-line-blocking regime).
 func BenchmarkSpaceCheckAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := mpsoc.Config{
-			Name: "a1", HopLatency: 1, EntryCost: 15, ExitCost: 1,
+		cfg := mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{{
+			Name: "a1", EntryCost: 15, ExitCost: 1,
 			Mode: gateway.ReconfigFixed, DisableSpaceCheck: true,
 			Accels: []mpsoc.AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
 			Streams: []mpsoc.StreamSpec{
@@ -276,7 +276,7 @@ func BenchmarkSpaceCheckAblation(b *testing.B) {
 					InCapacity: 64, OutCapacity: 64,
 					Engines: []accel.Engine{accel.Passthrough{}}, TotalInputs: 1024},
 			},
-		}
+		}}}
 		sys, err := mpsoc.Build(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -96,7 +96,7 @@ func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, erro
 			Engines:      []accel.Engine{&accel.Gain{}},
 		})
 	}
-	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Name: "admit", Chains: []mpsoc.ChainSpec{chain}})
+	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Chains: []mpsoc.ChainSpec{chain}})
 	if err != nil {
 		return nil, nil, err
 	}

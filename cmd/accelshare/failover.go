@@ -174,7 +174,6 @@ func failoverPlatform(sc failoverScenario) (*mpsoc.MultiSystem, *mpsoc.FailoverC
 		recovery.ValueExact = true
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name:           "failover",
 		HopLatency:     1,
 		RecordActivity: true,
 		Chains: []mpsoc.ChainSpec{

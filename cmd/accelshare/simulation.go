@@ -160,9 +160,8 @@ func runUtilizationSW(p pal.Params, perWord uint64) error {
 	if err != nil {
 		return err
 	}
-	cfg := mpsoc.Config{
+	sys, err := mpsoc.Build(mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{{
 		Name:       "sw-state",
-		HopLatency: 1,
 		EntryCost:  15,
 		ExitCost:   1,
 		Mode:       gateway.ReconfigPerWord,
@@ -183,8 +182,7 @@ func runUtilizationSW(p pal.Params, perWord uint64) error {
 				TotalInputs: 8192,
 			},
 		},
-	}
-	sys, err := mpsoc.Build(cfg)
+	}}})
 	if err != nil {
 		return err
 	}
@@ -203,10 +201,9 @@ func runSpaceCheckAblation(args []string) error {
 	fmt.Println("scenario: stream `clogged` has a very slow consumer; stream `victim` shares")
 	fmt.Println("the accelerator. Without the space check the clogged block stalls inside the")
 	fmt.Println("chain and head-of-line blocks the victim past its γ̂ bound.")
-	run := func(disable bool) (mpsoc.Report, error) {
-		cfg := mpsoc.Config{
+	spec := func(disable bool) mpsoc.ChainSpec {
+		return mpsoc.ChainSpec{
 			Name:              "ablate",
-			HopLatency:        1,
 			EntryCost:         15,
 			ExitCost:          1,
 			Mode:              gateway.ReconfigFixed,
@@ -228,15 +225,18 @@ func runSpaceCheckAblation(args []string) error {
 				},
 			},
 		}
-		sys, err := mpsoc.Build(cfg)
+	}
+	run := func(disable bool) (mpsoc.Report, error) {
+		sys, err := mpsoc.Build(mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{spec(disable)}})
 		if err != nil {
 			return mpsoc.Report{}, err
 		}
 		sys.Run(2_000_000)
 		return sys.Report(), nil
 	}
+	chain := spec(false)
 	model := &core.System{
-		Chain:   core.Chain{Name: "ablate", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   chain.CoreChain(),
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "clogged", Rate: big.NewRat(1, 1), Reconfig: 50, Block: 16},

@@ -3,7 +3,8 @@ package main
 // The -diff mode: compare two recorded baselines mechanically, so an
 // optimisation PR's claim ("re-recorded, nothing regressed") is a command
 // with an exit code instead of a prose assertion. A regression is a ns/op
-// increase beyond the threshold percentage; improvements and new/removed
+// increase beyond the threshold percentage, or an allocs/op increase beyond
+// both allocGrowthPct and allocGrowthMin; improvements and new/removed
 // benchmarks are reported but never fail the diff.
 
 import (
@@ -13,6 +14,22 @@ import (
 	"os"
 	"sort"
 )
+
+// Allocation counts do not depend on the host: repeat runs at one benchtime
+// agree to ±1 alloc/op, and -benchtime 1x against 300ms drifts by at most
+// 16 allocs/op (1.3%). So allocs/op is gated tightly and at a fixed bound,
+// not a flag: a benchmark regresses when its allocs/op grows by more than
+// allocGrowthPct percent AND by more than allocGrowthMin allocations.
+const (
+	allocGrowthPct = 2.0
+	allocGrowthMin = 8
+)
+
+// allocsRegressed reports whether allocs/op grew past the fixed gate.
+func allocsRegressed(oldAllocs, newAllocs float64) bool {
+	growth := newAllocs - oldAllocs
+	return growth > allocGrowthMin && growth > oldAllocs*allocGrowthPct/100
+}
 
 // benchKey identifies one benchmark across baselines.
 type benchKey struct {
@@ -35,7 +52,7 @@ func loadBaseline(path string) (*baseline, error) {
 
 // diffBaselines prints a per-benchmark delta table to w and returns the
 // number of regressions: benchmarks whose ns/op grew by more than
-// thresholdPct percent.
+// thresholdPct percent or whose allocs/op grew past the fixed gate.
 func diffBaselines(w io.Writer, oldB, newB *baseline, thresholdPct float64) int {
 	oldBy := make(map[benchKey]record, len(oldB.Benchmarks))
 	for _, r := range oldB.Benchmarks {
@@ -62,7 +79,7 @@ func diffBaselines(w io.Writer, oldB, newB *baseline, thresholdPct float64) int 
 		return keys[i].Name < keys[j].Name
 	})
 
-	fmt.Fprintf(w, "%-52s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Fprintf(w, "%-52s %14s %14s %9s %12s %12s\n", "benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs")
 	regressions := 0
 	for _, k := range keys {
 		label := k.Package + " " + k.Name
@@ -80,14 +97,21 @@ func diffBaselines(w io.Writer, oldB, newB *baseline, thresholdPct float64) int 
 			}
 			mark := ""
 			if pct > thresholdPct {
-				mark = "  REGRESSION"
+				mark += "  REGRESSION"
+			}
+			if allocsRegressed(o.AllocsOp, n.AllocsOp) {
+				mark += "  ALLOCS REGRESSION"
+			}
+			if mark != "" {
 				regressions++
 			}
-			fmt.Fprintf(w, "%-52s %14.1f %14.1f %+8.1f%%%s\n", label, o.NsPerOp, n.NsPerOp, pct, mark)
+			fmt.Fprintf(w, "%-52s %14.1f %14.1f %+8.1f%% %12.0f %12.0f%s\n",
+				label, o.NsPerOp, n.NsPerOp, pct, o.AllocsOp, n.AllocsOp, mark)
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(w, "\n%d benchmark(s) regressed beyond %.1f%%\n", regressions, thresholdPct)
+		fmt.Fprintf(w, "\n%d benchmark(s) regressed beyond %.1f%% ns/op or %.0f%% and %d allocs/op\n",
+			regressions, thresholdPct, allocGrowthPct, allocGrowthMin)
 	}
 	return regressions
 }

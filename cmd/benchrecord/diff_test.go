@@ -83,3 +83,37 @@ func TestDiffOutputIsDeterministic(t *testing.T) {
 		t.Fatalf("rows not sorted by name:\n%s", a.String())
 	}
 }
+
+func TestDiffGatesAllocGrowth(t *testing.T) {
+	// allocs/op regresses only past BOTH 2% and 8 allocations; ns/op is
+	// unchanged everywhere, so every mark comes from the allocs gate.
+	allocs := map[string][2]float64{
+		"BenchmarkSmallPct":   {1000, 1015}, // +15 but +1.5%
+		"BenchmarkBigPct":     {1000, 1025}, // +25 and +2.5%
+		"BenchmarkFewAllocs":  {100, 107},   // +7%, but only +7
+		"BenchmarkBoth":       {100, 110},   // +10 and +10%
+		"BenchmarkFewer":      {1000, 500},
+		"BenchmarkFromZero":   {0, 9}, // +9 from none
+		"BenchmarkZeroToFew":  {0, 8},
+		"BenchmarkUnchanged0": {0, 0},
+	}
+	oldB, newB := &baseline{}, &baseline{}
+	for name, a := range allocs {
+		oldB.Benchmarks = append(oldB.Benchmarks, record{Name: name, Package: ".", NsPerOp: 100, AllocsOp: a[0]})
+		newB.Benchmarks = append(newB.Benchmarks, record{Name: name, Package: ".", NsPerOp: 100, AllocsOp: a[1]})
+	}
+	var sb strings.Builder
+	if got := diffBaselines(&sb, oldB, newB, 75); got != 3 {
+		t.Fatalf("regressions = %d, want 3\n%s", got, sb.String())
+	}
+	flagged := map[string]bool{"BenchmarkBigPct": true, "BenchmarkBoth": true, "BenchmarkFromZero": true}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 2 || !strings.HasPrefix(fields[1], "Benchmark") {
+			continue
+		}
+		if marked := strings.Contains(line, "ALLOCS REGRESSION"); marked != flagged[fields[1]] {
+			t.Errorf("%s: allocs regression marked = %v, want %v: %s", fields[1], marked, flagged[fields[1]], line)
+		}
+	}
+}

@@ -19,7 +19,8 @@
 // benches. The output is sorted
 // by benchmark name so re-records diff cleanly; -diff compares two
 // recorded baselines and exits 1 when any benchmark's ns/op grew by more
-// than -threshold percent.
+// than -threshold percent or its allocs/op grew by more than both 2% and 8
+// allocations (a fixed gate: allocation counts do not depend on the host).
 package main
 
 import (

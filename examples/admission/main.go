@@ -66,7 +66,7 @@ func main() {
 			Engines:      engines(""),
 		})
 	}
-	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Name: "admission-demo", Chains: []mpsoc.ChainSpec{chain}})
+	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Chains: []mpsoc.ChainSpec{chain}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,20 +19,23 @@ import (
 	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
+	"accelshare/internal/sim"
 )
 
 func main() {
 	// Step 1: one accelerator (ρA = 4 cycles/sample) shared by two streams
 	// through a gateway pair with a 2-cycle DMA and 1-cycle exit gateway on
-	// a 100 MHz platform.
+	// a 100 MHz platform. The model's chain is derived from the hardware
+	// description that step 5 builds.
+	spec := mpsoc.ChainSpec{
+		Name:      "sharpen",
+		EntryCost: 2,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
+		Accels:    []mpsoc.AccelSpec{{Name: "sharpen", Cost: 4, NICapacity: 2}},
+	}
 	sys := &core.System{
-		Chain: core.Chain{
-			Name:       "sharpen",
-			AccelCosts: []uint64{4},
-			EntryCost:  2,
-			ExitCost:   1,
-			NICapacity: 2,
-		},
+		Chain:   spec.CoreChain(),
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "camera", Rate: big.NewRat(2_000_000, 1), Reconfig: 800},
@@ -86,20 +89,10 @@ func main() {
 
 	// Step 5: run the same configuration as simulated hardware and compare
 	// the measured worst-case turnaround against γ̂.
-	cfg := mpsoc.Config{
-		Name:       "quickstart",
-		HopLatency: 1,
-		EntryCost:  2,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels:     []mpsoc.AccelSpec{{Name: "sharpen", Cost: 4, NICapacity: 2}},
-	}
 	for i, st := range sys.Streams {
 		// Drive each source at exactly its required rate: the period in
 		// cycles is ClockHz / rate, kept exact as a rational.
-		num := uint64(sys.ClockHz)
-		den := uint64(st.Rate.Num().Int64())
-		cfg.Streams = append(cfg.Streams, mpsoc.StreamSpec{
+		spec.Streams = append(spec.Streams, mpsoc.StreamSpec{
 			Name:            st.Name,
 			Block:           res.Blocks[i],
 			Decimation:      1,
@@ -107,12 +100,12 @@ func main() {
 			InCapacity:      int(3 * res.Blocks[i]),
 			OutCapacity:     int(3 * res.Blocks[i]),
 			Engines:         []accel.Engine{&accel.Gain{}},
-			SourcePeriodNum: num,
-			SourcePeriodDen: den,
+			SourcePeriod:    sim.Time(sys.ClockHz),
+			SourcePeriodDen: sim.Time(st.Rate.Num().Int64()),
 			TotalInputs:     uint64(res.Blocks[i]) * 40,
 		})
 	}
-	hw, err := mpsoc.Build(cfg)
+	hw, err := mpsoc.Build(mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{spec}})
 	if err != nil {
 		log.Fatal(err)
 	}

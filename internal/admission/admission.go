@@ -849,7 +849,7 @@ func (c *Controller) Readmit(name string, done func(Verdict)) {
 		commit: func() {
 			if !quarantined {
 				// A removed stream's source was stopped; restart it.
-				c.ms.ResumeSource(c.ci, p.slot)
+				c.ms.StartSource(c.chain().Strs[p.slot])
 			}
 			c.commitGrowth(g, p.slot)
 			delete(c.parked, name)

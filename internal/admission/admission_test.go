@@ -91,7 +91,6 @@ func buildBedAt(t *testing.T, faults *fault.Plan, reserve, inCap int, srcPeriod 
 		})
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name: "admission-bed",
 		Chains: []mpsoc.ChainSpec{{
 			Name:              "demo",
 			EntryCost:         entryCost,

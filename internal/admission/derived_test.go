@@ -36,7 +36,6 @@ func buildSpecBed(t *testing.T, rec gateway.Recovery, specs []mpsoc.StreamSpec) 
 		specs[i].Block = model.Streams[i].Block
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name: "derived-bed",
 		Chains: []mpsoc.ChainSpec{{
 			Name: "demo", EntryCost: entryCost, ExitCost: 1,
 			Mode:              gateway.ReconfigFixed,

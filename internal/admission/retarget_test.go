@@ -42,7 +42,6 @@ func buildFailoverBed(t *testing.T, standbyCost sim.Time) (*bed, *mpsoc.Failover
 		})
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name: "retarget-bed",
 		Chains: []mpsoc.ChainSpec{
 			{
 				Name: "demo", EntryCost: entryCost, ExitCost: 1,

@@ -317,7 +317,6 @@ func New(cfg Config) (*Controller, error) {
 
 	c := &Controller{cfg: cfg, streams: map[string]*streamInfo{}}
 	var mc mpsoc.MultiConfig
-	mc.Name = "cluster"
 	mc.HopLatency = cfg.HopLatency
 	models := make([]*core.System, len(cfg.Chains))
 	for pos, cs := range cfg.Chains {

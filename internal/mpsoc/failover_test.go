@@ -49,7 +49,6 @@ func failoverPlatformRec(t *testing.T, plan *fault.Plan, nStreams int, periods [
 		})
 	}
 	ms, err := BuildMulti(MultiConfig{
-		Name:           "fo",
 		HopLatency:     1,
 		RecordActivity: true,
 		Chains: []ChainSpec{
@@ -380,7 +379,6 @@ func TestStandbyResolveNearSaturation(t *testing.T) {
 func TestFailoverNeedsWatchdog(t *testing.T) {
 	rec := gateway.Recovery{Enabled: true, RetryLimit: 2}
 	ms, err := BuildMulti(MultiConfig{
-		Name: "fo-nowd",
 		Chains: []ChainSpec{
 			{
 				Name: "primary", EntryCost: 15, ExitCost: 1, Mode: gateway.ReconfigFixed,

@@ -6,7 +6,7 @@
 // versus the γs bound, gateway duty cycle and accelerator utilisation.
 //
 // It is also where the recovery ladder becomes a platform property.
-// Config.Recovery/DrainTimeout wire per-stream watchdog retry, checkpointed
+// ChainSpec.Recovery/DrainTimeout wire per-stream watchdog retry, checkpointed
 // resume and quarantine into every assembled chain, and BuildMulti +
 // FailoverController (failover.go) add the top rung: a fault doctor's
 // wedged-chain verdict freezes the sick gateway pair, exports every
@@ -21,11 +21,11 @@
 package mpsoc
 
 import (
+	"fmt"
+
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
-	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
-	"accelshare/internal/ring"
 	"accelshare/internal/sim"
 )
 
@@ -59,15 +59,14 @@ type StreamSpec struct {
 	InCapacity, OutCapacity int
 	// Engines holds one engine per accelerator tile, in chain order.
 	Engines []accel.Engine
-	// SourcePeriod is the cycles between samples offered by the source task
-	// (0 = offer as fast as the FIFO accepts). Source generates sample n.
-	SourcePeriod sim.Time
-	// SourcePeriodNum/Den, when Den != 0, give a rational sample period in
-	// cycles (Num/Den); the source task Bresenham-accumulates so the
-	// long-run rate is exact even when the platform clock is not an integer
-	// multiple of the sample rate. Overrides SourcePeriod.
-	SourcePeriodNum, SourcePeriodDen uint64
-	Source                           func(n uint64) sim.Word
+	// SourcePeriod/SourcePeriodDen is the rational number of cycles between
+	// samples offered by the source task (a zero denominator means 1; a zero
+	// period offers as fast as the FIFO accepts). The source task
+	// Bresenham-accumulates, so the long-run rate is exact even when the
+	// platform clock is not an integer multiple of the sample rate. Source
+	// generates sample n.
+	SourcePeriod, SourcePeriodDen sim.Time
+	Source                        func(n uint64) sim.Word
 	// TotalInputs stops the source after that many samples (0 = endless).
 	TotalInputs uint64
 	// SinkPeriod is the cycles between sink reads (0 = drain eagerly).
@@ -86,30 +85,6 @@ type StreamSpec struct {
 	// arbitration) so an admission controller can activate it atomically
 	// with the survivors' new block sizes in one ApplySlots transaction.
 	StartSuspended bool
-}
-
-// Config assembles a platform.
-type Config struct {
-	Name string
-	// HopLatency is the ring's per-hop latency in cycles.
-	HopLatency sim.Time
-	// Gateway costs and reconfiguration model.
-	EntryCost, ExitCost sim.Time
-	Mode                gateway.ReconfigMode
-	Arbiter             gateway.Arbitration
-	BusBase, BusPerWord sim.Time
-	RecordOutputTimes   bool
-	RecordActivity      bool
-	UseSlottedRing      bool
-	DisableSpaceCheck   bool
-	// DrainTimeout/Recovery/Faults/RecordTurnarounds configure the
-	// watchdog and fault subsystem; see ChainSpec.
-	DrainTimeout      sim.Time
-	Recovery          gateway.Recovery
-	Faults            *fault.Plan
-	RecordTurnarounds bool
-	Accels            []AccelSpec
-	Streams           []StreamSpec
 }
 
 // Stream is the runtime state of one stream.
@@ -149,52 +124,28 @@ type Stream struct {
 }
 
 // StopSource makes the stream's built-in source task exit at its next tick,
-// so a removed stream stops feeding its input C-FIFO. ResumeSource on the
+// so a removed stream stops feeding its input C-FIFO. StartSource on the
 // owning MultiSystem restarts it.
 func (st *Stream) StopSource() { st.sourceGen++ }
 
-// System is the assembled platform.
+// System is a single-chain platform (the common case): the MultiSystem
+// that BuildMulti assembles from one ChainSpec, viewed through its only
+// chain, so K, Strs, Pair and Tiles all resolve directly.
 type System struct {
-	K     *sim.Kernel
-	Net   *ring.Dual
-	Pair  *gateway.Pair
-	Tiles []*accel.Tile
-	Strs  []*Stream
-
-	cfg Config
+	*MultiSystem
+	*Chain
 }
 
-// Build assembles a single-chain platform (the common case); it delegates
-// to BuildMulti, which supports several gateway pairs on one ring (Fig. 1).
-func Build(cfg Config) (*System, error) {
-	ms, err := BuildMulti(MultiConfig{
-		Name:              cfg.Name,
-		HopLatency:        cfg.HopLatency,
-		RecordOutputTimes: cfg.RecordOutputTimes,
-		RecordActivity:    cfg.RecordActivity,
-		UseSlottedRing:    cfg.UseSlottedRing,
-		Chains: []ChainSpec{{
-			Name:              cfg.Name,
-			EntryCost:         cfg.EntryCost,
-			ExitCost:          cfg.ExitCost,
-			Mode:              cfg.Mode,
-			Arbiter:           cfg.Arbiter,
-			BusBase:           cfg.BusBase,
-			BusPerWord:        cfg.BusPerWord,
-			DisableSpaceCheck: cfg.DisableSpaceCheck,
-			DrainTimeout:      cfg.DrainTimeout,
-			Recovery:          cfg.Recovery,
-			Faults:            cfg.Faults,
-			RecordTurnarounds: cfg.RecordTurnarounds,
-			Accels:            cfg.Accels,
-			Streams:           cfg.Streams,
-		}},
-	})
+// Build assembles a single-chain platform through BuildMulti.
+func Build(cfg MultiConfig) (*System, error) {
+	if len(cfg.Chains) != 1 {
+		return nil, fmt.Errorf("mpsoc: Build takes one chain, got %d", len(cfg.Chains))
+	}
+	ms, err := BuildMulti(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ch := ms.Chains[0]
-	return &System{K: ms.K, Net: ms.Net, Pair: ch.Pair, Tiles: ch.Tiles, Strs: ch.Strs, cfg: cfg}, nil
+	return &System{ms, ms.Chains[0]}, nil
 }
 
 // ackBatch picks a read-counter update granularity for the gateway input
@@ -213,12 +164,9 @@ func startSourceTask(k *sim.Kernel, st *Stream) {
 	if gen == nil {
 		gen = func(n uint64) sim.Word { return sim.Word(n) }
 	}
-	num, den := st.Spec.SourcePeriodNum, st.Spec.SourcePeriodDen
-	if den == 0 {
-		num, den = uint64(st.Spec.SourcePeriod), 1
-	}
+	num, den := st.Spec.SourcePeriod, max(st.Spec.SourcePeriodDen, 1)
 	periodic := num > 0
-	var acc uint64 // Bresenham remainder accumulator (units of 1/den cycles)
+	var acc sim.Time // Bresenham remainder accumulator (units of 1/den cycles)
 	nextDelay := func() sim.Time {
 		if !periodic {
 			return 1
@@ -226,7 +174,7 @@ func startSourceTask(k *sim.Kernel, st *Stream) {
 		acc += num
 		d := acc / den
 		acc %= den
-		return sim.Time(d)
+		return d
 	}
 	var tick func()
 	taskGen := st.sourceGen
@@ -290,15 +238,6 @@ func startSinkTask(k *sim.Kernel, st *Stream) {
 	}
 }
 
-// Run starts the gateways and advances the simulation to the horizon.
-func (s *System) Run(horizon sim.Time) {
-	s.Pair.Start()
-	s.K.Run(horizon)
-}
-
-// Collected returns how many output samples the sink of stream i consumed.
-func (s *System) Collected(i int) uint64 { return s.Strs[i].collected }
-
 // Report summarises the measurements the evaluation needs.
 type Report struct {
 	Cycles          uint64
@@ -333,7 +272,5 @@ type StreamReport struct {
 	QuarantinedAt sim.Time
 }
 
-// Report collects the measurements after Run.
-func (s *System) Report() Report {
-	return chainReport(s.K, &Chain{Pair: s.Pair, Tiles: s.Tiles, Strs: s.Strs})
-}
+// Report collects the chain's measurements after Run.
+func (s *System) Report() Report { return s.Chain.Report() }

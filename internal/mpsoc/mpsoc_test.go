@@ -11,14 +11,13 @@ import (
 )
 
 // onePassthroughConfig: a single stream over one passthrough accelerator.
-func onePassthroughConfig(block int64, total uint64) Config {
-	return Config{
-		Name:       "t",
-		HopLatency: 1,
-		EntryCost:  15,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels:     []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+func onePassthroughConfig(block int64, total uint64) MultiConfig {
+	return MultiConfig{HopLatency: 1, Chains: []ChainSpec{{
+		Name:      "t",
+		EntryCost: 15,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
+		Accels:    []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
 		Streams: []StreamSpec{{
 			Name:           "s0",
 			Block:          block,
@@ -30,7 +29,7 @@ func onePassthroughConfig(block int64, total uint64) Config {
 			TotalInputs:    total,
 			CollectOutputs: true,
 		}},
-	}
+	}}}
 }
 
 func TestSingleStreamEndToEnd(t *testing.T) {
@@ -39,7 +38,7 @@ func TestSingleStreamEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(1_000_000)
-	if got := sys.Collected(0); got != 64 {
+	if got := sys.Strs[0].collected; got != 64 {
 		t.Fatalf("collected %d of 64", got)
 	}
 	for i, w := range sys.Strs[0].Outputs {
@@ -53,6 +52,37 @@ func TestSingleStreamEndToEnd(t *testing.T) {
 	}
 	if rep.PerStream[0].Overflows != 0 {
 		t.Errorf("overflows = %d", rep.PerStream[0].Overflows)
+	}
+}
+
+// TestRationalSourcePeriod checks the source task's Bresenham period: a
+// 7/3-cycle period offers sample n at ⌊7n/3⌋ (0, 2, 4, 7, 9, …), and an
+// integer period takes the same steps whether its denominator is 0 or 1.
+func TestRationalSourcePeriod(t *testing.T) {
+	inTimes := func(period, den sim.Time) []sim.Time {
+		cfg := onePassthroughConfig(8, 24)
+		ss := &cfg.Chains[0].Streams[0]
+		ss.SourcePeriod, ss.SourcePeriodDen, ss.RecordInputTimes = period, den, true
+		sys, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Run(1_000_000)
+		if got := len(sys.Strs[0].InTimes); got != 24 {
+			t.Fatalf("period %d/%d: %d of 24 samples entered the input FIFO", period, den, got)
+		}
+		return sys.Strs[0].InTimes
+	}
+	for n, at := range inTimes(7, 3) {
+		if want := sim.Time(7 * n / 3); at != want {
+			t.Fatalf("period 7/3: sample %d entered at %d, want %d", n, at, want)
+		}
+	}
+	whole, one := inTimes(5, 0), inTimes(5, 1)
+	for n := range whole {
+		if whole[n] != sim.Time(5*n) || one[n] != whole[n] {
+			t.Fatalf("period 5: sample %d entered at %d (den 0) and %d (den 1), want %d", n, whole[n], one[n], 5*n)
+		}
 	}
 }
 
@@ -72,22 +102,21 @@ func TestTwoStreamsSharingChainKeepSeparateState(t *testing.T) {
 			CollectOutputs: true,
 		}
 	}
-	cfg := Config{
-		Name:       "share",
-		HopLatency: 1,
-		EntryCost:  3,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels:     []AccelSpec{{Name: "gain", Cost: 1, NICapacity: 2}},
-		Streams:    []StreamSpec{mk("a"), mk("b")},
-	}
+	cfg := MultiConfig{HopLatency: 1, Chains: []ChainSpec{{
+		Name:      "share",
+		EntryCost: 3,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
+		Accels:    []AccelSpec{{Name: "gain", Cost: 1, NICapacity: 2}},
+		Streams:   []StreamSpec{mk("a"), mk("b")},
+	}}}
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Run(1_000_000)
 	for i := 0; i < 2; i++ {
-		if got := sys.Collected(i); got != 32 {
+		if got := sys.Strs[i].collected; got != 32 {
 			t.Fatalf("stream %d collected %d of 32", i, got)
 		}
 		for n, w := range sys.Strs[i].Outputs {
@@ -119,13 +148,12 @@ func TestDecimatingChainOutBlockAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Name:       "dec",
-		HopLatency: 1,
-		EntryCost:  2,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels:     []AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+	cfg := MultiConfig{HopLatency: 1, Chains: []ChainSpec{{
+		Name:      "dec",
+		EntryCost: 2,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
+		Accels:    []AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
 		Streams: []StreamSpec{{
 			Name:           "s",
 			Block:          16,
@@ -137,13 +165,13 @@ func TestDecimatingChainOutBlockAccounting(t *testing.T) {
 			TotalInputs:    64,
 			CollectOutputs: true,
 		}},
-	}
+	}}}
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Run(1_000_000)
-	if got := sys.Collected(0); got != 16 {
+	if got := sys.Strs[0].collected; got != 16 {
 		t.Fatalf("collected %d outputs, want 64/4 = 16", got)
 	}
 	rep := sys.Report()
@@ -154,7 +182,7 @@ func TestDecimatingChainOutBlockAccounting(t *testing.T) {
 
 func TestBlockNotMultipleOfDecimationRejected(t *testing.T) {
 	fir, _ := accel.NewFIR([]int32{32767}, 4)
-	cfg := Config{
+	cfg := MultiConfig{Chains: []ChainSpec{{
 		Name:      "bad",
 		EntryCost: 1, ExitCost: 1,
 		Accels: []AccelSpec{{Name: "fir", Cost: 1}},
@@ -163,7 +191,7 @@ func TestBlockNotMultipleOfDecimationRejected(t *testing.T) {
 			InCapacity: 64, OutCapacity: 64,
 			Engines: []accel.Engine{fir},
 		}},
-	}
+	}}}
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("block not divisible by decimation accepted")
 	}
@@ -175,12 +203,11 @@ func TestBlockNotMultipleOfDecimationRejected(t *testing.T) {
 // against the γs bound (Eq. 4) and the measured throughput against Eq. 5.
 func TestHardwareRefinesModel(t *testing.T) {
 	// Two streams, distinct block sizes, a 2-accelerator chain.
-	cfg := Config{
-		Name:       "refine",
-		HopLatency: 1,
-		EntryCost:  15,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
+	cfg := MultiConfig{HopLatency: 1, Chains: []ChainSpec{{
+		Name:      "refine",
+		EntryCost: 15,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
 		Accels: []AccelSpec{
 			{Name: "a0", Cost: 1, NICapacity: 2},
 			{Name: "a1", Cost: 1, NICapacity: 2},
@@ -199,7 +226,7 @@ func TestHardwareRefinesModel(t *testing.T) {
 				TotalInputs: 1024,
 			},
 		},
-	}
+	}}}
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,9 +274,8 @@ func TestSpaceCheckAblation(t *testing.T) {
 	// check, the slow stream simply never becomes eligible and the fast
 	// stream stays within its bound.
 	build := func(disable bool) Report {
-		cfg := Config{
+		cfg := MultiConfig{HopLatency: 1, Chains: []ChainSpec{{
 			Name:              "ablate",
-			HopLatency:        1,
 			EntryCost:         15,
 			ExitCost:          1,
 			Mode:              gateway.ReconfigFixed,
@@ -272,7 +298,7 @@ func TestSpaceCheckAblation(t *testing.T) {
 					TotalInputs: 2048,
 				},
 			},
-		}
+		}}}
 		sys, err := Build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -313,9 +339,8 @@ func TestReconfigPerWordMode(t *testing.T) {
 	// line makes reconfiguration dominate.
 	fir1, _ := accel.NewFIR(make([]int32, 33), 1)
 	fir2, _ := accel.NewFIR(make([]int32, 33), 1)
-	cfg := Config{
+	cfg := MultiConfig{HopLatency: 1, Chains: []ChainSpec{{
 		Name:       "sw",
-		HopLatency: 1,
 		EntryCost:  2,
 		ExitCost:   1,
 		Mode:       gateway.ReconfigPerWord,
@@ -336,15 +361,15 @@ func TestReconfigPerWordMode(t *testing.T) {
 				TotalInputs: 64,
 			},
 		},
-	}
+	}}}
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys.Run(3_000_000)
 	rep := sys.Report()
-	if sys.Collected(0) != 64 || sys.Collected(1) != 64 {
-		t.Fatalf("collected %d/%d", sys.Collected(0), sys.Collected(1))
+	if sys.Strs[0].collected != 64 || sys.Strs[1].collected != 64 {
+		t.Fatalf("collected %d/%d", sys.Strs[0].collected, sys.Strs[1].collected)
 	}
 	if rep.ReconfigShare < rep.StreamingShare {
 		t.Errorf("per-word state switch should dominate: reconfig %.2f vs streaming %.2f",
@@ -356,14 +381,13 @@ func TestArbiterAblationPriorityStarves(t *testing.T) {
 	// A saturated high-priority stream under FixedPriority starves the
 	// other stream; RoundRobin bounds both (the reason §IV-C uses RR).
 	build := func(arb gateway.Arbitration) Report {
-		cfg := Config{
-			Name:       "arb",
-			HopLatency: 1,
-			EntryCost:  15,
-			ExitCost:   1,
-			Mode:       gateway.ReconfigFixed,
-			Arbiter:    arb,
-			Accels:     []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+		cfg := MultiConfig{HopLatency: 1, Chains: []ChainSpec{{
+			Name:      "arb",
+			EntryCost: 15,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Arbiter:   arb,
+			Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
 			Streams: []StreamSpec{
 				{
 					// Saturating high-priority stream: always has a block.
@@ -377,7 +401,7 @@ func TestArbiterAblationPriorityStarves(t *testing.T) {
 					Engines: []accel.Engine{accel.Passthrough{}},
 				},
 			},
-		}
+		}}}
 		sys, err := Build(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -90,7 +90,6 @@ func (s *ChainSpec) Settle(maxTau uint64) sim.Time {
 
 // MultiConfig assembles a platform with several shared chains on one ring.
 type MultiConfig struct {
-	Name              string
 	HopLatency        sim.Time
 	RecordOutputTimes bool
 	RecordActivity    bool
@@ -390,7 +389,7 @@ func (m *MultiSystem) AdoptStream(chainIdx int, st *Stream, e gateway.StreamExpo
 // have removed the stream first (drain, suspend, survivor re-solve), so no
 // block is in flight. The gateway slot is swapped for a Released tombstone
 // (slot indices never shift — the zombie-slot precedent) and so is the
-// chain's Strs entry, keeping the two tables parallel for chainReport. The
+// chain's Strs entry, keeping the two tables parallel for Chain.Report. The
 // caller owns the returned stream and export, gates its producer
 // (cfifo.BeginRepoint), waits out the settle delay, and hands both to the
 // target controller's AdmitMigrated/AdoptStream. Streams are matched by name
@@ -412,7 +411,7 @@ func (m *MultiSystem) ReleaseStream(chainIdx int, name string) (*Stream, gateway
 		// ReleaseSlot left a gateway tombstone at the slot; mirror it here so
 		// ch.Strs stays index-parallel with the pair's slot table. The
 		// tombstone's spec claims an external source/sink so a stray
-		// ResumeSource on this index can never start a task against nil FIFOs.
+		// StartSource on it can never start a task against nil FIFOs.
 		tomb := st.Spec
 		tomb.ExternalSource, tomb.ExternalSink = true, true
 		ch.Strs[slot] = &Stream{Spec: tomb, GW: ch.Pair.Streams()[slot]}
@@ -444,25 +443,12 @@ func (m *MultiSystem) ReclaimStream(chainIdx int, name string) error {
 	return nil
 }
 
-// StartSource (re)starts a stream's built-in source task by reference.
-// Evacuation moves Stream objects between chains, so the (chain, index)
-// addressing of ResumeSource does not survive a migration; the control plane
-// holds the *Stream and restarts it directly (a shed stream resuming after
-// readmission onto a healed chain).
+// StartSource (re)starts a stream's built-in source task after StopSource
+// (a removed or shed stream readmitted). The control plane holds the
+// *Stream, since evacuation moves Stream objects between chains. Any
+// still-running loop is superseded, so calling it repeatedly leaves exactly
+// one task.
 func (m *MultiSystem) StartSource(st *Stream) {
-	if st.Spec.ExternalSource {
-		return
-	}
-	st.sourceGen++
-	startSourceTask(m.K, st)
-}
-
-// ResumeSource (re)starts a stream's built-in source task after StopSource
-// (a readmitted stream starts producing again). Any still-running loop is
-// superseded, so calling it repeatedly leaves exactly one task.
-func (m *MultiSystem) ResumeSource(chainIdx, streamIdx int) {
-	ch := m.Chains[chainIdx]
-	st := ch.Strs[streamIdx]
 	if st.Spec.ExternalSource {
 		return
 	}
@@ -482,12 +468,13 @@ func (m *MultiSystem) Run(horizon sim.Time) {
 func (m *MultiSystem) Report() []Report {
 	var out []Report
 	for _, ch := range m.Chains {
-		out = append(out, chainReport(m.K, ch))
+		out = append(out, ch.Report())
 	}
 	return out
 }
 
-func chainReport(k *sim.Kernel, ch *Chain) Report {
+// Report collects the chain's measurements after Run.
+func (ch *Chain) Report() Report {
 	total, rec, str := ch.Pair.Busy()
 	r := Report{Cycles: total, ReconfigCycles: rec, StreamingCycles: str}
 	busy := float64(rec + str)

@@ -19,7 +19,6 @@ func twoChainConfig() MultiConfig {
 		}
 	}
 	return MultiConfig{
-		Name:       "fig1",
 		HopLatency: 1,
 		Chains: []ChainSpec{
 			{
@@ -47,6 +46,12 @@ func twoChainConfig() MultiConfig {
 func TestBuildMultiValidation(t *testing.T) {
 	if _, err := BuildMulti(MultiConfig{}); err == nil {
 		t.Error("no chains accepted")
+	}
+	if _, err := Build(MultiConfig{}); err == nil {
+		t.Error("Build accepted no chains")
+	}
+	if _, err := Build(twoChainConfig()); err == nil {
+		t.Error("Build accepted two chains")
 	}
 	cfg := twoChainConfig()
 	cfg.Chains[0].Accels = nil
@@ -97,7 +102,6 @@ func TestChainsAreTemporallyIndependent(t *testing.T) {
 	// (separate gateways, separate accelerators; the ring is dimensioned
 	// for both). This is the paper's multi-application deployment story.
 	solo := MultiConfig{
-		Name:       "solo",
 		HopLatency: 1,
 		Chains:     []ChainSpec{twoChainConfig().Chains[1]},
 	}

@@ -22,14 +22,11 @@ func TestPerTokenRefinement(t *testing.T) {
 		eps   = 15
 		total = eta
 	)
-	cfg := Config{
-		Name:              "tok",
-		HopLatency:        1,
-		EntryCost:         eps,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
-		RecordOutputTimes: true,
-		RecordActivity:    true,
+	cfg := MultiConfig{HopLatency: 1, RecordOutputTimes: true, RecordActivity: true, Chains: []ChainSpec{{
+		Name:      "tok",
+		EntryCost: eps,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
 		Accels: []AccelSpec{
 			{Name: "a0", Cost: 1, NICapacity: 2},
 			{Name: "a1", Cost: 1, NICapacity: 2},
@@ -40,7 +37,7 @@ func TestPerTokenRefinement(t *testing.T) {
 			Engines:     []accel.Engine{accel.Passthrough{}, accel.Passthrough{}},
 			TotalInputs: total,
 		}},
-	}
+	}}}
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,14 +75,12 @@ func TestPerTokenRefinement(t *testing.T) {
 // and the cycle-true ring's timing must stay within the model bound.
 func TestSlottedRingSystemEquivalence(t *testing.T) {
 	build := func(slotted bool) *System {
-		cfg := Config{
-			Name:           "slotcmp",
-			HopLatency:     1,
-			EntryCost:      15,
-			ExitCost:       1,
-			Mode:           gateway.ReconfigFixed,
-			UseSlottedRing: slotted,
-			Accels:         []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+		cfg := MultiConfig{HopLatency: 1, UseSlottedRing: slotted, Chains: []ChainSpec{{
+			Name:      "slotcmp",
+			EntryCost: 15,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
 			Streams: []StreamSpec{
 				{
 					Name: "x", Block: 16, Decimation: 1, Reconfig: 100,
@@ -102,7 +97,7 @@ func TestSlottedRingSystemEquivalence(t *testing.T) {
 					CollectOutputs: true,
 				},
 			},
-		}
+		}}}
 		sys, err := Build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -158,14 +153,12 @@ func TestPerSampleLatencyBound(t *testing.T) {
 		period = 64 // cycles per sample: μ = 1/64 samples/cycle
 		total  = 256
 	)
-	cfg := Config{
-		Name:              "lat",
-		HopLatency:        1,
-		EntryCost:         eps,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
-		RecordOutputTimes: true,
-		Accels:            []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+	cfg := MultiConfig{HopLatency: 1, RecordOutputTimes: true, Chains: []ChainSpec{{
+		Name:      "lat",
+		EntryCost: eps,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
+		Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
 		Streams: []StreamSpec{{
 			Name: "s", Block: eta, Decimation: 1, Reconfig: rs,
 			InCapacity: 4 * eta, OutCapacity: 4 * eta,
@@ -174,7 +167,7 @@ func TestPerSampleLatencyBound(t *testing.T) {
 			TotalInputs:      total,
 			RecordInputTimes: true,
 		}},
-	}
+	}}}
 	sys, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)

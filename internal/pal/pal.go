@@ -193,8 +193,8 @@ func Build(p Params) (*Decoder, error) {
 		totalIn = uint64(p.Seconds * fsIn)
 	}
 
-	num := uint64(p.ClockHz)
-	denIn := uint64(fsIn)
+	num := sim.Time(p.ClockHz)
+	denIn := sim.Time(fsIn)
 
 	mkStage1 := func(idx int, name string, carrier float64, fe *Frontend, block int64) mpsoc.StreamSpec {
 		return mpsoc.StreamSpec{
@@ -205,7 +205,7 @@ func Build(p Params) (*Decoder, error) {
 			InCapacity:      inCaps[idx],
 			OutCapacity:     outCaps[idx],
 			Engines:         []accel.Engine{accel.NewMixer(-carrier, fsIn), mustFIR(q1, p.Decimation)},
-			SourcePeriodNum: num,
+			SourcePeriod:    num,
 			SourcePeriodDen: denIn,
 			Source:          fe.Sample,
 			TotalInputs:     totalIn,
@@ -234,18 +234,12 @@ func Build(p Params) (*Decoder, error) {
 	specs[2].Engines[1] = mustFIR(q2, p.Decimation)
 	specs[3].Engines[1] = mustFIR(q2, p.Decimation)
 
-	sys, err := mpsoc.Build(mpsoc.Config{
-		Name:           "pal",
+	spec := chainSpec(p)
+	spec.Streams = specs
+	sys, err := mpsoc.Build(mpsoc.MultiConfig{
 		HopLatency:     1,
-		EntryCost:      p.EntryCost,
-		ExitCost:       p.ExitCost,
 		RecordActivity: p.RecordActivity,
-		Mode:           gateway.ReconfigFixed,
-		Accels: []mpsoc.AccelSpec{
-			{Name: "cordic", Cost: 1, NICapacity: 2},
-			{Name: "fir+d", Cost: 1, NICapacity: 2},
-		},
-		Streams: specs,
+		Chains:         []mpsoc.ChainSpec{spec},
 	})
 	if err != nil {
 		return nil, err
@@ -283,6 +277,22 @@ func analysisBufferBounds(p Params) (in []int, out []int, err error) {
 	return in, out, nil
 }
 
+// chainSpec is the §VI-A chain without its streams: the CORDIC and FIR
+// accelerators behind one gateway pair. Build adds the streams; the
+// analysis model derives its chain from it.
+func chainSpec(p Params) mpsoc.ChainSpec {
+	return mpsoc.ChainSpec{
+		Name:      "pal",
+		EntryCost: p.EntryCost,
+		ExitCost:  p.ExitCost,
+		Mode:      gateway.ReconfigFixed,
+		Accels: []mpsoc.AccelSpec{
+			{Name: "cordic", Cost: 1, NICapacity: 2},
+			{Name: "fir+d", Cost: 1, NICapacity: 2},
+		},
+	}
+}
+
 // AnalysisModel returns the paper's §VI-A temporal model for the given
 // parameters: the four streams sharing the CORDIC + FIR chain.
 func AnalysisModel(p Params) *core.System {
@@ -291,14 +301,9 @@ func AnalysisModel(p Params) *core.System {
 	mk := func(name string, rate int64, block int64) core.Stream {
 		return core.Stream{Name: name, Rate: big.NewRat(rate, 1), Reconfig: uint64(p.Reconfig), Block: block}
 	}
+	spec := chainSpec(p)
 	return &core.System{
-		Chain: core.Chain{
-			Name:       "cordic+fir",
-			AccelCosts: []uint64{1, 1},
-			EntryCost:  uint64(p.EntryCost),
-			ExitCost:   uint64(p.ExitCost),
-			NICapacity: 2,
-		},
+		Chain:   spec.CoreChain(),
 		ClockHz: int64(p.ClockHz),
 		Streams: []core.Stream{
 			mk(streamNames[0], fsIn, p.Blocks[0]),
