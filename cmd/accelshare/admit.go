@@ -65,15 +65,14 @@ func runAdmit(args []string) error {
 // admission controller.
 func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, error) {
 	chain := mpsoc.ChainSpec{
-		Name:              "demo",
-		EntryCost:         15,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
-		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-		DrainTimeout:      200,
-		Recovery:          gateway.Recovery{Enabled: true, RetryLimit: 2},
-		RecordTurnarounds: true,
-		ReserveSlots:      reserve,
+		Name:         "demo",
+		EntryCost:    15,
+		ExitCost:     1,
+		Mode:         gateway.ReconfigFixed,
+		Accels:       []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		DrainTimeout: 200,
+		Recovery:     gateway.Recovery{Enabled: true, RetryLimit: 2},
+		ReserveSlots: reserve,
 	}
 	model := &core.System{Chain: chain.CoreChain(), ClockHz: 1}
 	for _, name := range []string{"s1", "s2", "s3", "s4"} {

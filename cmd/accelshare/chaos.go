@@ -116,7 +116,9 @@ func chaosShort(seed uint64) chaosProfile {
 	}
 }
 
-func chaosConfig(chains []cluster.ChainSpec) cluster.Config {
+// fleetConfig is the fleet fixture the chaos and serve campaigns share; the
+// arguments are what differs between them.
+func fleetConfig(chains []cluster.ChainSpec, residentPeriod int64, inCap, outCap, retryLimit int) cluster.Config {
 	return cluster.Config{
 		EntryCost:    15,
 		ExitCost:     1,
@@ -127,19 +129,38 @@ func chaosConfig(chains []cluster.ChainSpec) cluster.Config {
 			Enabled: true, RetryLimit: 2,
 			Checkpoint: 4, CheckpointCost: 5, ValueExact: true,
 		},
-		PerSlotCost: 10,
-		Doctor:      fault.DoctorConfig{Window: 4_000, StallLimit: 3, DistinctStreams: 1},
-		// Limit 5 exhausts a shed stream's readmission retries (~6.2k cycles)
-		// before surviving chains free capacity, so it parks and is readmitted
-		// by the late spare's heal — exercising the full ladder.
-		Retry:            fault.Backoff{Base: 200, Factor: 2, Cap: 3_200, Limit: 5},
-		ResidentPeriod:   75,
+		PerSlotCost:      10,
+		Doctor:           fault.DoctorConfig{Window: 4_000, StallLimit: 3, DistinctStreams: 1},
+		Retry:            fault.Backoff{Base: 200, Factor: 2, Cap: 3_200, Limit: retryLimit},
+		ResidentPeriod:   residentPeriod,
 		ResidentPriority: 100,
-		InCapacity:       256,
-		OutCapacity:      128,
+		InCapacity:       inCap,
+		OutCapacity:      outCap,
 		CollectOutputs:   true,
 		Chains:           chains,
 	}
+}
+
+// printFleetConformance runs the fleet's Eq. 2/4/5 check with opt, prints
+// one line per serving chain and every violation, and returns how many
+// violations it found.
+func printFleetConformance(w io.Writer, c *cluster.Controller, opt conformance.Options) (int, error) {
+	fmt.Fprintf(w, "\n=== fleet conformance (after t=%d) ===\n", opt.After)
+	res, err := c.Conformance(opt)
+	if err != nil {
+		return 0, err
+	}
+	violations := 0
+	for _, cc := range res {
+		fmt.Fprintf(w, "  chain %-4s %d streams, %d blocks checked, %d violations\n",
+			cc.Chain, cc.Streams, cc.Result.Checked, len(cc.Result.Violations))
+		for _, v := range cc.Result.Violations {
+			fmt.Fprintf(w, "    %s\n", v.String())
+			violations++
+		}
+	}
+	fmt.Fprintf(w, "fleet conformance violations: %d\n", violations)
+	return violations, nil
 }
 
 // chaosCampaign writes the byte-deterministic campaign transcript that the
@@ -172,7 +193,10 @@ func chaosCampaign(w io.Writer, short bool, seed uint64) error {
 	}
 	fmt.Fprintf(w, "  flash: %d@%d\n\n", p.traffic.FlashCount, p.traffic.FlashAt)
 
-	c, err := cluster.New(chaosConfig(p.chains))
+	// Retry limit 5 exhausts a shed stream's readmission retries (~6.2k
+	// cycles) before surviving chains free capacity, so it parks and is
+	// readmitted by the late spare's heal — exercising the full ladder.
+	c, err := cluster.New(fleetConfig(p.chains, 75, 256, 128, 5))
 	if err != nil {
 		return err
 	}
@@ -230,21 +254,10 @@ func chaosCampaign(w io.Writer, short bool, seed uint64) error {
 	}
 	fmt.Fprintf(w, "every live stream contiguous (zero lost or duplicated samples): %v\n", contiguityOK)
 
-	fmt.Fprintf(w, "\n=== fleet conformance (after t=%d) ===\n", p.cut)
-	res, err := c.Conformance(conformance.Options{After: p.cut, MinBlocks: 3, FilterQueued: true})
+	violations, err := printFleetConformance(w, c, conformance.Options{After: p.cut, MinBlocks: 3, FilterQueued: true})
 	if err != nil {
 		return err
 	}
-	violations := 0
-	for _, cc := range res {
-		fmt.Fprintf(w, "  chain %-4s %d streams, %d blocks checked, %d violations\n",
-			cc.Chain, cc.Streams, cc.Result.Checked, len(cc.Result.Violations))
-		for _, v := range cc.Result.Violations {
-			fmt.Fprintf(w, "    %s\n", v.String())
-			violations++
-		}
-	}
-	fmt.Fprintf(w, "fleet conformance violations: %d\n", violations)
 
 	if !allWithin {
 		return fmt.Errorf("chaos: a degradation-ladder step exceeded its composed bound")

@@ -178,27 +178,25 @@ func failoverPlatform(sc failoverScenario) (*mpsoc.MultiSystem, *mpsoc.FailoverC
 		RecordActivity: true,
 		Chains: []mpsoc.ChainSpec{
 			{
-				Name:              "primary",
-				EntryCost:         15,
-				ExitCost:          1,
-				Mode:              gateway.ReconfigFixed,
-				Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-				Streams:           []mpsoc.StreamSpec{stream("s0"), stream("s1"), stream("s2")},
-				DrainTimeout:      600,
-				Recovery:          recovery,
-				Faults:            sc.plan,
-				RecordTurnarounds: true,
+				Name:         "primary",
+				EntryCost:    15,
+				ExitCost:     1,
+				Mode:         gateway.ReconfigFixed,
+				Accels:       []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+				Streams:      []mpsoc.StreamSpec{stream("s0"), stream("s1"), stream("s2")},
+				DrainTimeout: 600,
+				Recovery:     recovery,
+				Faults:       sc.plan,
 			},
 			{
-				Name:              "standby",
-				EntryCost:         15,
-				ExitCost:          1,
-				Mode:              gateway.ReconfigFixed,
-				Accels:            []mpsoc.AccelSpec{{Name: "acc-b", Cost: sim.Time(standbyCost), NICapacity: 2}},
-				Standby:           true,
-				DrainTimeout:      600,
-				Recovery:          recovery,
-				RecordTurnarounds: true,
+				Name:         "standby",
+				EntryCost:    15,
+				ExitCost:     1,
+				Mode:         gateway.ReconfigFixed,
+				Accels:       []mpsoc.AccelSpec{{Name: "acc-b", Cost: sim.Time(standbyCost), NICapacity: 2}},
+				Standby:      true,
+				DrainTimeout: 600,
+				Recovery:     recovery,
 			},
 		},
 	})

@@ -58,16 +58,15 @@ func campaignConfig(plan *fault.Plan, rec gateway.Recovery) mpsoc.MultiConfig {
 		}
 	}
 	return mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{{
-		Name:              "campaign",
-		EntryCost:         15,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
-		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-		Streams:           []mpsoc.StreamSpec{stream("s0"), stream("s1"), stream("s2")},
-		DrainTimeout:      600,
-		Recovery:          rec,
-		Faults:            plan,
-		RecordTurnarounds: true,
+		Name:         "campaign",
+		EntryCost:    15,
+		ExitCost:     1,
+		Mode:         gateway.ReconfigFixed,
+		Accels:       []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		Streams:      []mpsoc.StreamSpec{stream("s0"), stream("s1"), stream("s2")},
+		DrainTimeout: 600,
+		Recovery:     rec,
+		Faults:       plan,
 	}}}
 }
 

@@ -27,8 +27,6 @@ import (
 
 	"accelshare/internal/cluster"
 	"accelshare/internal/conformance"
-	"accelshare/internal/fault"
-	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
 )
 
@@ -138,33 +136,6 @@ func serveShort(seed uint64) serveProfile {
 	}
 }
 
-// serveConfig mirrors chaosConfig's fleet parameters (one shared fixture
-// keeps the campaign surface comparable) with the rebalancer armed.
-func serveConfig(p serveProfile) cluster.Config {
-	return cluster.Config{
-		EntryCost:    15,
-		ExitCost:     1,
-		HopLatency:   1,
-		Reconfig:     50,
-		DrainTimeout: 600,
-		Recovery: gateway.Recovery{
-			Enabled: true, RetryLimit: 2,
-			Checkpoint: 4, CheckpointCost: 5, ValueExact: true,
-		},
-		PerSlotCost:      10,
-		Doctor:           fault.DoctorConfig{Window: 4_000, StallLimit: 3, DistinctStreams: 1},
-		Retry:            fault.Backoff{Base: 200, Factor: 2, Cap: 3_200, Limit: 8},
-		ResidentPeriod:   150,
-		ResidentPriority: 100,
-		InCapacity:       512,
-		OutCapacity:      256,
-		CollectOutputs:   true,
-		ReclaimSlots:     true,
-		Rebalance:        p.rebalance,
-		Chains:           p.chains,
-	}
-}
-
 // serveCampaign writes the byte-deterministic campaign transcript that the
 // golden gate diffs; floatflow holds it to exact output.
 //
@@ -191,7 +162,10 @@ func serveCampaign(w io.Writer, short bool, seed uint64) error {
 		p.rebalance.Every, p.rebalance.Start, p.rebalance.Stop,
 		p.rebalance.HighWater.RatString(), p.rebalance.MaxMovesPerTick)
 
-	c, err := cluster.New(serveConfig(p))
+	cfg := fleetConfig(p.chains, 150, 512, 256, 8)
+	cfg.ReclaimSlots = true
+	cfg.Rebalance = p.rebalance
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -294,24 +268,13 @@ func serveCampaign(w io.Writer, short bool, seed uint64) error {
 	fmt.Fprintf(w, "blocks=%d samples=%d overflows=%d\n", blocks, samples, overflows)
 	fmt.Fprintf(w, "every live stream contiguous (zero lost or duplicated samples): %v\n", contiguityOK)
 
-	fmt.Fprintf(w, "\n=== fleet conformance (after t=%d) ===\n", p.cut)
-	res, err := c.Conformance(conformance.Options{
+	violations, err := printFleetConformance(w, c, conformance.Options{
 		After: p.cut, MinBlocks: 3, FilterQueued: true,
-		ReplayBound: int64(serveConfig(p).Recovery.Checkpoint),
+		ReplayBound: cfg.Recovery.Checkpoint,
 	})
 	if err != nil {
 		return err
 	}
-	violations := 0
-	for _, cc := range res {
-		fmt.Fprintf(w, "  chain %-4s %d streams, %d blocks checked, %d violations\n",
-			cc.Chain, cc.Streams, cc.Result.Checked, len(cc.Result.Violations))
-		for _, v := range cc.Result.Violations {
-			fmt.Fprintf(w, "    %s\n", v.String())
-			violations++
-		}
-	}
-	fmt.Fprintf(w, "fleet conformance violations: %d\n", violations)
 
 	if admitted := counts[cluster.EvArrive]; admitted < p.minAdmitted {
 		return fmt.Errorf("serve: %d admitted background lifetimes, want >= %d", admitted, p.minAdmitted)

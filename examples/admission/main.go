@@ -33,15 +33,14 @@ func main() {
 	// ReserveSlots pre-allocates gateway stream slots (and their ring
 	// ports) at build time, so a stream admitted later needs no rewiring.
 	chain := mpsoc.ChainSpec{
-		Name:              "chain",
-		EntryCost:         15,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
-		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-		DrainTimeout:      200,
-		Recovery:          gateway.Recovery{Enabled: true, RetryLimit: 2},
-		RecordTurnarounds: true,
-		ReserveSlots:      2,
+		Name:         "chain",
+		EntryCost:    15,
+		ExitCost:     1,
+		Mode:         gateway.ReconfigFixed,
+		Accels:       []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		DrainTimeout: 200,
+		Recovery:     gateway.Recovery{Enabled: true, RetryLimit: 2},
+		ReserveSlots: 2,
 	}
 	// The temporal model takes its chain parameters from the spec.
 	model := &core.System{Chain: chain.CoreChain(), ClockHz: 1}

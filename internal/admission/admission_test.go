@@ -92,17 +92,16 @@ func buildBedAt(t *testing.T, faults *fault.Plan, reserve, inCap int, srcPeriod 
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
 		Chains: []mpsoc.ChainSpec{{
-			Name:              "demo",
-			EntryCost:         entryCost,
-			ExitCost:          1,
-			Mode:              gateway.ReconfigFixed,
-			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-			Streams:           specs,
-			DrainTimeout:      200,
-			Recovery:          recoveryCfg(),
-			Faults:            faults,
-			RecordTurnarounds: true,
-			ReserveSlots:      reserve,
+			Name:         "demo",
+			EntryCost:    entryCost,
+			ExitCost:     1,
+			Mode:         gateway.ReconfigFixed,
+			Accels:       []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Streams:      specs,
+			DrainTimeout: 200,
+			Recovery:     recoveryCfg(),
+			Faults:       faults,
+			ReserveSlots: reserve,
 		}},
 	})
 	if err != nil {

@@ -38,13 +38,12 @@ func buildSpecBed(t *testing.T, rec gateway.Recovery, specs []mpsoc.StreamSpec) 
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
 		Chains: []mpsoc.ChainSpec{{
 			Name: "demo", EntryCost: entryCost, ExitCost: 1,
-			Mode:              gateway.ReconfigFixed,
-			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
-			Streams:           specs,
-			DrainTimeout:      200,
-			Recovery:          rec,
-			RecordTurnarounds: true,
-			ReserveSlots:      1,
+			Mode:         gateway.ReconfigFixed,
+			Accels:       []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
+			Streams:      specs,
+			DrainTimeout: 200,
+			Recovery:     rec,
+			ReserveSlots: 1,
 		}},
 	})
 	if err != nil {

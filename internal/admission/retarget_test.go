@@ -48,18 +48,16 @@ func buildFailoverBed(t *testing.T, standbyCost sim.Time) (*bed, *mpsoc.Failover
 				Mode:    gateway.ReconfigFixed,
 				Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
 				Streams: specs, DrainTimeout: 200,
-				Recovery:          recoveryCfg(),
-				RecordTurnarounds: true,
-				ReserveSlots:      2,
+				Recovery:     recoveryCfg(),
+				ReserveSlots: 2,
 			},
 			{
 				Name: "demo-b", EntryCost: entryCost, ExitCost: 1,
 				Mode:    gateway.ReconfigFixed,
 				Accels:  []mpsoc.AccelSpec{{Name: "acc-b", Cost: standbyCost, NICapacity: 2}},
 				Standby: true, DrainTimeout: 200,
-				Recovery:          recoveryCfg(),
-				RecordTurnarounds: true,
-				ReserveSlots:      2,
+				Recovery:     recoveryCfg(),
+				ReserveSlots: 2,
 			},
 		},
 	})

@@ -321,15 +321,14 @@ func New(cfg Config) (*Controller, error) {
 	models := make([]*core.System, len(cfg.Chains))
 	for pos, cs := range cfg.Chains {
 		ms := mpsoc.ChainSpec{
-			Name:              cs.Name,
-			EntryCost:         cfg.EntryCost,
-			ExitCost:          cfg.ExitCost,
-			DrainTimeout:      cfg.DrainTimeout,
-			Recovery:          cfg.Recovery,
-			RecordTurnarounds: true,
-			ReserveSlots:      cs.ReserveSlots,
-			Faults:            cs.Faults,
-			Accels:            []mpsoc.AccelSpec{{Name: cs.Name + ".acc", Cost: cs.AccelCost}},
+			Name:         cs.Name,
+			EntryCost:    cfg.EntryCost,
+			ExitCost:     cfg.ExitCost,
+			DrainTimeout: cfg.DrainTimeout,
+			Recovery:     cfg.Recovery,
+			ReserveSlots: cs.ReserveSlots,
+			Faults:       cs.Faults,
+			Accels:       []mpsoc.AccelSpec{{Name: cs.Name + ".acc", Cost: cs.AccelCost}},
 		}
 		if cs.Spare {
 			ms.Standby = true
@@ -380,19 +379,8 @@ func New(cfg Config) (*Controller, error) {
 			}
 			continue
 		}
-		ci.state = chainServing
-		ctrl, err := admission.New(plat, admission.Config{
-			Chain:       pos,
-			Model:       models[pos],
-			PerSlotCost: cfg.PerSlotCost,
-			Solver:      cfg.Solver,
-		})
-		if err != nil {
+		if err := c.startServing(ci, models[pos]); err != nil {
 			return nil, fmt.Errorf("cluster: chain %q: %w", cs.Name, err)
-		}
-		ci.ctrl = ctrl
-		if err := c.armDoctor(ci); err != nil {
-			return nil, err
 		}
 		rname := "r-" + cs.Name
 		si := &streamInfo{
@@ -420,6 +408,26 @@ func (c *Controller) Run(horizon sim.Time) { c.ms.Run(horizon) }
 
 func (c *Controller) event(kind EventKind, chain, stream, detail string) {
 	c.events = append(c.events, Event{At: c.k.Now(), Kind: kind, Chain: chain, Stream: stream, Detail: detail})
+}
+
+// startServing puts chain ci into service: an admission controller over
+// model, and a wedge doctor on its stall feed.
+func (c *Controller) startServing(ci *chainInfo, model *core.System) error {
+	ctrl, err := admission.New(c.ms, admission.Config{
+		Chain:       ci.idx,
+		Model:       model,
+		PerSlotCost: c.cfg.PerSlotCost,
+		Solver:      c.cfg.Solver,
+	})
+	if err != nil {
+		return err
+	}
+	if err := c.armDoctor(ci); err != nil {
+		return err
+	}
+	ci.ctrl = ctrl
+	ci.state = chainServing
+	return nil
 }
 
 func (c *Controller) armDoctor(ci *chainInfo) error {
@@ -816,11 +824,7 @@ func (c *Controller) onFailoverDone(ci, sp *chainInfo, rec mpsoc.Record) {
 		if si == nil || si.departed || si.shed || si.chain != sp.pos {
 			continue
 		}
-		c.ladder = append(c.ladder, LadderStep{
-			At: rec.ResumedAt, Stream: name, Rung: "failover",
-			From: ci.name, To: sp.name,
-			Measured: rec.MeasuredCycles, Bound: rec.BoundCycles, Replay: rec.ReplayWords,
-		})
+		c.recordStep("failover", name, ci.name, sp.name, rec.MeasuredCycles, rec.BoundCycles, rec.ReplayWords)
 	}
 	c.event(EvFailover, sp.name, "", fmt.Sprintf("%d streams from %s measured=%d bound=%d replay=%d",
 		moved, ci.name, rec.MeasuredCycles, rec.BoundCycles, rec.ReplayWords))
@@ -881,18 +885,10 @@ func (c *Controller) reissuePending(ci *chainInfo) {
 // evacuate is rung 2: freeze the chain, settle, then re-place every live
 // stream individually (rung 3, shed, per stream when no target admits it).
 func (c *Controller) evacuate(ci *chainInfo, reason string) {
-	msch := c.ms.Chains[ci.idx]
 	settle := c.settle(ci)
-	if err := msch.Pair.FreezeForFailover(); err != nil {
+	if err := c.ms.Chains[ci.idx].Freeze(); err != nil {
 		c.event(EvEvacuate, ci.name, "", fmt.Sprintf("freeze failed: %v", err))
 		return
-	}
-	for _, st := range msch.Strs {
-		if st.GW.Released {
-			// A rebalanced-away stream's tombstone: its FIFOs left with it.
-			continue
-		}
-		st.In.BeginRepoint()
 	}
 	ci.state = chainFailed
 	c.reissuePending(ci)
@@ -906,14 +902,11 @@ func (c *Controller) evacuate(ci *chainInfo, reason string) {
 // live stream for re-placement, priority-ordered (higher first; the shed
 // policy is exactly "lowest priority, last in name order, sheds first").
 func (c *Controller) evacExport(ev *evacuation) {
-	msch := c.ms.Chains[ev.from.idx]
-	exports, err := msch.Pair.ExportStreams()
+	moved, exports, err := c.ms.Chains[ev.from.idx].Export()
 	if err != nil {
 		c.event(EvEvacuate, ev.from.name, "", fmt.Sprintf("export failed: %v", err))
 		return
 	}
-	moved := msch.Strs
-	msch.Strs = nil
 	for i, e := range exports {
 		si := c.streams[e.Stream.Name]
 		if si == nil || si.departed || si.shed || si.chain != ev.from.pos {
@@ -958,11 +951,7 @@ func (c *Controller) evacPlace(ev *evacuation, it *evacItem, attempt int) {
 			ev.bound += v.BoundCycles
 			ev.migrated++
 			measured := uint64(c.k.Now() - ev.at)
-			c.ladder = append(c.ladder, LadderStep{
-				At: c.k.Now(), Stream: it.si.name, Rung: "evacuate",
-				From: ev.from.name, To: tc.name,
-				Measured: measured, Bound: ev.bound, Replay: len(it.e.Replay),
-			})
+			c.recordStep("evacuate", it.si.name, ev.from.name, tc.name, measured, ev.bound, len(it.e.Replay))
 			c.event(EvMigrated, tc.name, it.si.name, fmt.Sprintf("eta=%d measured=%d bound=%d replay=%d",
 				lastBlock(v), measured, ev.bound, len(it.e.Replay)))
 		},
@@ -974,9 +963,7 @@ func (c *Controller) evacPlace(ev *evacuation, it *evacItem, attempt int) {
 	})
 }
 
-// shedStream is rung 3: park the stream (source stopped, exported state
-// retained) and probe for readmission under the bounded backoff schedule; a
-// heal re-kicks parked streams with a fresh budget.
+// shedStream is rung 3 for an evacuated stream no target admits.
 func (c *Controller) shedStream(ev *evacuation, it *evacItem) {
 	si := it.si
 	ev.queue = ev.queue[1:]
@@ -987,23 +974,34 @@ func (c *Controller) shedStream(ev *evacuation, it *evacItem) {
 		c.evacNext(ev)
 		return
 	}
-	si.shed = true
-	si.chain = -1
 	si.st = it.st
 	si.export = it.e
+	ev.shed++
+	c.park(si, ev.from.name, ev.at, ev.bound, "no capacity on any serving chain")
+	c.evacNext(ev)
+}
+
+// park sheds a stream that left chain from at since: source stopped,
+// exported state (si.st, si.export) retained, a "shed" step recorded against
+// bound, and readmission probed under the bounded backoff schedule; a heal
+// re-kicks parked streams with a fresh budget. why opens the event detail.
+func (c *Controller) park(si *streamInfo, from string, since sim.Time, bound uint64, why string) {
+	si.shed = true
+	si.chain = -1
 	si.hasExport = true
 	si.st.StopSource()
-	ev.shed++
-	measured := uint64(c.k.Now() - ev.at)
-	c.ladder = append(c.ladder, LadderStep{
-		At: c.k.Now(), Stream: si.name, Rung: "shed",
-		From: ev.from.name, To: "",
-		Measured: measured, Bound: ev.bound, Replay: len(it.e.Replay),
-	})
-	c.event(EvShed, "", si.name, fmt.Sprintf("no capacity on any serving chain; parked (measured=%d bound=%d)",
-		measured, ev.bound))
+	measured := uint64(c.k.Now() - since)
+	c.recordStep("shed", si.name, from, "", measured, bound, len(si.export.Replay))
+	c.event(EvShed, "", si.name, fmt.Sprintf("%s; parked (measured=%d bound=%d)", why, measured, bound))
 	c.scheduleReadmit(si, 0)
-	c.evacNext(ev)
+}
+
+// recordStep records one degradation-ladder step at the current cycle.
+func (c *Controller) recordStep(rung, stream, from, to string, measured, bound uint64, replay int) {
+	c.ladder = append(c.ladder, LadderStep{
+		At: c.k.Now(), Stream: stream, Rung: rung, From: from, To: to,
+		Measured: measured, Bound: bound, Replay: replay,
+	})
 }
 
 func (c *Controller) scheduleReadmit(si *streamInfo, attempt int) {
@@ -1025,12 +1023,7 @@ func (c *Controller) tryReadmit(si *streamInfo, attempt int) {
 			si.shed = false
 			si.hasExport = false
 			c.ms.StartSource(si.st)
-			c.ladder = append(c.ladder, LadderStep{
-				At: c.k.Now(), Stream: si.name, Rung: "readmit",
-				From: "", To: tc.name,
-				Measured: uint64(v.PauseWait) + v.BusCycles, Bound: v.BoundCycles,
-				Replay: len(si.export.Replay),
-			})
+			c.recordStep("readmit", si.name, "", tc.name, uint64(v.PauseWait)+v.BusCycles, v.BoundCycles, len(si.export.Replay))
 			c.event(EvReadmit, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
 				lastBlock(v), v.PauseWait, v.BoundCycles))
 		},
@@ -1046,46 +1039,28 @@ func (c *Controller) onHeal(ci *chainInfo) {
 	if ci.state != chainOffline {
 		return
 	}
-	shedWaiting := 0
+	var parked []*streamInfo
 	for _, name := range c.order {
-		si := c.streams[name]
-		if si.shed && !si.departed {
-			shedWaiting++
+		if si := c.streams[name]; si.shed && !si.departed {
+			parked = append(parked, si)
 		}
 	}
-	if shedWaiting == 0 {
+	if len(parked) == 0 {
 		ci.state = chainSpare
 		c.event(EvHeal, ci.name, "", "online as spare")
 		return
 	}
 	model := &core.System{Chain: c.ms.Chains[ci.idx].Spec.CoreChain(), ClockHz: 1}
-	ctrl, err := admission.New(c.ms, admission.Config{
-		Chain:       ci.idx,
-		Model:       model,
-		PerSlotCost: c.cfg.PerSlotCost,
-		Solver:      c.cfg.Solver,
-	})
-	if err != nil {
+	if err := c.startServing(ci, model); err != nil {
 		ci.state = chainSpare
 		c.event(EvHeal, ci.name, "", fmt.Sprintf("online as spare (promotion failed: %v)", err))
 		return
 	}
-	ci.ctrl = ctrl
-	ci.state = chainServing
-	if err := c.armDoctor(ci); err != nil {
-		c.event(EvHeal, ci.name, "", fmt.Sprintf("doctor arm failed: %v", err))
-	}
-	c.event(EvHeal, ci.name, "", fmt.Sprintf("online serving; re-kicking %d parked streams", shedWaiting))
+	c.event(EvHeal, ci.name, "", fmt.Sprintf("online serving; re-kicking %d parked streams", len(parked)))
 	// Staggered deterministic kicks: the first probe wins the pause, the
 	// rest find the controller busy and re-enter the backoff loop.
-	delay := sim.Time(1)
-	for _, name := range c.order {
-		si := c.streams[name]
-		if !si.shed || si.departed {
-			continue
-		}
-		c.k.Schedule(delay, func() { c.tryReadmit(si, 0) })
-		delay++
+	for i, si := range parked {
+		c.k.Schedule(sim.Time(i+1), func() { c.tryReadmit(si, 0) })
 	}
 }
 

@@ -357,3 +357,55 @@ func renderEvents(c *Controller) string {
 	}
 	return out
 }
+
+// TestEvacuateSkipsReleasedTombstone: a stream rebalanced c0→c1→c0 leaves a
+// Released tombstone of itself on c0 next to its live slot. When c0 is then
+// convicted with no spare, evacuation must migrate the live slot once and
+// drop the tombstone (which owns no FIFOs), exactly as rung-1 failover does.
+func TestEvacuateSkipsReleasedTombstone(t *testing.T) {
+	wedge := &fault.Plan{Faults: []fault.Fault{{Kind: fault.WedgeLink, Site: 0, At: 50_000}}}
+	c := mustCluster(t, testConfig([]ChainSpec{
+		{Name: "c0", AccelCost: 1, ReserveSlots: 4, Faults: wedge},
+		{Name: "c1", AccelCost: 1, ReserveSlots: 4},
+		{Name: "c2", AccelCost: 1, ReserveSlots: 4},
+	}))
+	submitAt(c, 1_000, StreamRequest{Name: "s", Period: 150})
+	moveAt := func(at sim.Time, from, to int) {
+		c.System().K.ScheduleAt(at, func() {
+			c.moveQueue = append(c.moveQueue, &moveOp{si: c.streams["s"], from: c.chains[from], to: c.chains[to]})
+			c.nextMove()
+		})
+	}
+	moveAt(10_000, 0, 1)
+	moveAt(30_000, 1, 0)
+	c.Run(120_000)
+
+	reb := ladderOf(c, "rebalance")
+	if len(reb) != 2 || reb[0].To != "c1" || reb[1].To != "c0" {
+		t.Fatalf("rebalance steps %v, want s c0→c1→c0:\n%s", reb, renderEvents(c))
+	}
+	if len(eventsOf(c, EvEvacuate)) == 0 {
+		t.Fatalf("c0 was never evacuated:\n%s", renderEvents(c))
+	}
+	migrated := 0
+	for _, e := range eventsOf(c, EvMigrated) {
+		if e.Stream == "s" {
+			migrated++
+		}
+	}
+	if migrated != 1 {
+		t.Errorf("s migrated %d times, want 1:\n%s", migrated, renderEvents(c))
+	}
+	ss := statusOf(c, "s")
+	if ss.State != "live" || ss.Chain == "c0" {
+		t.Errorf("s: state=%s chain=%s, want live off c0", ss.State, ss.Chain)
+	}
+	if !ss.ContiguousOutputs {
+		t.Errorf("s: outputs not contiguous across two moves and an evacuation")
+	}
+	for _, s := range c.LadderSteps() {
+		if s.Measured > s.Bound {
+			t.Errorf("%s %s: measured %d > bound %d", s.Rung, s.Stream, s.Measured, s.Bound)
+		}
+	}
+}

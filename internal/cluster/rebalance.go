@@ -414,11 +414,7 @@ func (c *Controller) moveAdmit(op *moveOp, attempt int) {
 			c.ms.StartSource(si.st)
 			op.bound += v.BoundCycles
 			measured := uint64(c.k.Now() - op.started)
-			c.ladder = append(c.ladder, LadderStep{
-				At: c.k.Now(), Stream: si.name, Rung: "rebalance",
-				From: op.from.name, To: tc.name,
-				Measured: measured, Bound: op.bound, Replay: len(si.export.Replay),
-			})
+			c.recordStep("rebalance", si.name, op.from.name, tc.name, measured, op.bound, len(si.export.Replay))
 			c.event(EvRebalanced, tc.name, si.name, fmt.Sprintf("from %s eta=%d measured=%d bound=%d replay=%d",
 				op.from.name, lastBlock(v), measured, op.bound, len(si.export.Replay)))
 		},
@@ -433,19 +429,9 @@ func (c *Controller) moveAdmit(op *moveOp, attempt int) {
 // parkMoved parks a released victim no target admits, exactly like a shed
 // stream, so the readmission/heal machinery gets it back onto the fleet.
 func (c *Controller) parkMoved(op *moveOp) {
-	si := op.si
-	si.moving = false
-	si.inflight = false
-	si.shed = true
-	si.st.StopSource()
-	c.ladder = append(c.ladder, LadderStep{
-		At: c.k.Now(), Stream: si.name, Rung: "shed",
-		From: op.from.name, To: "",
-		Measured: uint64(c.k.Now() - op.started), Bound: op.bound, Replay: len(si.export.Replay),
-	})
-	c.event(EvShed, "", si.name, fmt.Sprintf("rebalance found no target; parked (measured=%d bound=%d)",
-		uint64(c.k.Now()-op.started), op.bound))
-	c.scheduleReadmit(si, 0)
+	op.si.moving = false
+	op.si.inflight = false
+	c.park(op.si, op.from.name, op.started, op.bound, "rebalance found no target")
 	c.nextMove()
 }
 

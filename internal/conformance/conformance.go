@@ -159,7 +159,7 @@ func (r Result) Err() error {
 }
 
 // Check verifies records[i] (stream i's completed-block trace, as recorded
-// by gateway.Config.RecordTurnarounds) against bounds[i]:
+// in gateway.Stream.Turnarounds) against bounds[i]:
 //
 //	service latency  Done−Started ≤ τ̂s   per block (Eq. 2)
 //	turnaround       Done−Queued  ≤ γ̂s   per block (Eq. 4)

@@ -26,7 +26,7 @@ func benchRig(b *testing.B, k *sim.Kernel, tombstones int) *benchParts {
 	exitNI := sim.NewQueue("exit.ni", 2)
 	tile.SetDownstream(accel.NewLink("a->x", k, net, 1, 2, 1, 1, exitNI))
 	pair, err := NewPair(k, net, Config{
-		Name: "bench", EntryNode: 0, ExitNode: 2, IdlePort: 7,
+		Name: "bench", EntryNode: 0, ExitNode: 2,
 		EntryCost: 2, ExitCost: 1,
 	}, []*accel.Tile{tile}, entryLink, exitNI)
 	if err != nil {

@@ -56,7 +56,6 @@ func ckptCfg(name string, k int64, valueExact bool) Config {
 			Enabled: true, RetryLimit: 3,
 			Checkpoint: k, CheckpointCost: 5, ValueExact: valueExact,
 		},
-		RecordTurnarounds: true,
 	}
 }
 

@@ -3,8 +3,9 @@ package gateway
 // Chain failover: when a whole accelerator chain wedges (stuck tile, severed
 // ring segment), recovery-by-retry on the same pair is futile. The paper's
 // Fig. 1 platform carries a second entry-/exit-gateway pair on the same ring;
-// this file is the gateway half of migrating every stream to it. The
-// FailoverController (internal/mpsoc) drives the sequence:
+// this file is the gateway half of migrating every stream to it. In
+// internal/mpsoc, Chain.Freeze and Chain.Export drive the sequence for both
+// the FailoverController and the fleet's evacuation:
 //
 //	FreezeForFailover  — retire the sick pair mid-flight, abort the active
 //	                     block attempt (epoch bump, as a flush would)
@@ -70,19 +71,10 @@ func (p *Pair) FreezeForFailover() error {
 	if p.state != stIdle {
 		p.abortedStream = p.active
 	}
-	p.blockEpoch++ // cancel in-flight DMA/exit/watchdog/idle-retry events
-	p.dmaBusy = false
-	p.holding = false
-	p.exitBusy = false
-	p.exitHolding = false
+	// The rolled-back watermark makes the export's Committed exactly what
+	// the consumer holds.
+	p.abortAttempt()
 	p.pauseCb = nil // a pending admission pause dies with the pair
-	if n := int64(len(p.stage)); n > 0 {
-		// Value-exact staged words never reached the consumer: roll the
-		// watermark back so the export's Committed is exactly what the
-		// consumer holds and the standby regenerates the rest.
-		p.exitCount -= n
-		p.stage = nil
-	}
 	return nil
 }
 
@@ -98,35 +90,27 @@ func (p *Pair) ExportStreams() ([]StreamExport, error) {
 	if !p.failed {
 		return nil, fmt.Errorf("gateway %s: ExportStreams requires a frozen pair", p.cfg.Name)
 	}
-	for _, t := range p.tiles {
-		t.Abort()
-	}
-	p.exitNI.Clear()
-	p.link.Reset()
-	for _, t := range p.tiles {
-		if l := t.Downstream(); l != nil {
-			l.Reset()
-		}
-	}
+	p.scrubChain()
 	exports := make([]StreamExport, len(p.streams))
 	for i, s := range p.streams {
 		ex := StreamExport{Stream: s}
 		switch {
-		case i == p.abortedStream && p.state != stReconfig:
-			// Mid-block abort (streaming/draining/flushing/checkpointing):
-			// the standby must replay from the engine snapshot at the replay
-			// window's start — block start, or the last committed checkpoint
-			// — so the regenerated outputs match the ones the consumer
-			// already received.
+		case i == p.abortedStream && (p.state != stReconfig || p.blockRetries > 0):
+			// Mid-block abort (streaming/draining/flushing/checkpointing, or
+			// a retry reloading its engines): the standby must replay from
+			// the engine snapshot at the replay window's start — block
+			// start, or the last committed checkpoint — so the regenerated
+			// outputs match the ones the consumer already received.
 			ex.Engines = cloneState(p.retryState)
 			ex.Replay = append([]sim.Word(nil), p.blockBuf...)
 			ex.Committed = p.exitCount
 			ex.ReplayStart = p.blockBase
 		case i == p.abortedStream:
-			// Aborted during reconfiguration: the engines were never swapped
-			// in and no word entered the chain, so the stream's standing
-			// state (below) is also its block-start state. A migrated block
-			// that was re-starting here still carries its replay residue.
+			// Aborted during a new block's reconfiguration: the engines were
+			// never swapped in and no word entered the chain, so the
+			// stream's standing state (below) is also its block-start state.
+			// A migrated block that was re-starting here still carries its
+			// replay residue.
 			ex.Engines = p.standingState(i, s)
 			ex.Replay = append([]sim.Word(nil), p.blockBuf...)
 			ex.Committed = p.resumeCommitted
@@ -151,11 +135,7 @@ func (p *Pair) standingState(i int, s *Stream) [][]uint64 {
 		return nil
 	}
 	if i == p.loadedStream {
-		st := make([][]uint64, len(s.Engines))
-		for t, e := range s.Engines {
-			st[t] = e.SaveState()
-		}
-		return st
+		return saveEngines(s, nil)
 	}
 	return cloneState(s.saved)
 }

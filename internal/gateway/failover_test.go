@@ -36,7 +36,6 @@ func newFailoverRig(t *testing.T, cfgA, cfgB Config) *frig {
 		exitNI := sim.NewQueue(cfg.Name+".exit.ni", 2)
 		tile.SetDownstream(accel.NewLink(cfg.Name+".a->x", k, net, accN, exitN, 1, 1, exitNI))
 		cfg.EntryNode, cfg.ExitNode = entryN, exitN
-		cfg.IdlePort = 7
 		pair, err := NewPair(k, net, cfg, []*accel.Tile{tile}, entry, exitNI)
 		if err != nil {
 			t.Fatal(err)
@@ -336,5 +335,63 @@ func TestSnapshotIsValueOnly(t *testing.T) {
 			t.Errorf("StreamSnapshot.%s is a reference type (%s): Snapshot() would alias live state",
 				f.Name, f.Type.Kind())
 		}
+	}
+}
+
+// TestFreezeDuringRetryReconfigExportsWatermark freezes a pair while a
+// retry is reloading its engines over the configuration bus. The stream's
+// engines were loaded for the aborted attempt, so the export must carry the
+// attempt's restart snapshot and the consumer's commit watermark — exactly
+// as a freeze mid-stream would — and the standby must emit every block
+// position exactly once.
+func TestFreezeDuringRetryReconfigExportsWatermark(t *testing.T) {
+	r := newFailoverRig(t, recoveryCfg("A"), recoveryCfg("B"))
+	s, in, out := r.addStreamA(t, "m", 4, 20)
+	// Drop input word 5: block 2 stalls with three of its outputs committed.
+	s.Engines = []accel.Engine{&transientDropEngine{dropAt: 5}}
+	r.feed(t, in, 0, 8)
+	r.pairA.Start()
+	if !r.k.RunUntil(50_000, func() bool { return r.pairA.blockRetries == 1 && r.pairA.state == stReconfig }) {
+		t.Fatal("never reached the retry's reconfiguration")
+	}
+	committed := r.pairA.exitCount
+	if committed == 0 {
+		t.Fatal("the aborted attempt committed nothing; the test needs a partial block")
+	}
+	if err := r.pairA.FreezeForFailover(); err != nil {
+		t.Fatal(err)
+	}
+	in.BeginRepoint()
+	r.k.Run(r.k.Now() + 50)
+	exports, err := r.pairA.ExportStreams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := exports[0]
+	if e.Committed != committed {
+		t.Fatalf("export committed %d, the consumer holds %d", e.Committed, committed)
+	}
+	if len(e.Replay) != 4 || e.ReplayStart != 0 {
+		t.Fatalf("export replays %d words from %d, want the whole block (4 from 0)", len(e.Replay), e.ReplayStart)
+	}
+
+	in.RepointConsumer(3)
+	out.RepointProducer(5)
+	r.pairB.Start()
+	err = r.pairB.RequestPause(func() {
+		if _, err := r.pairB.ImportStream(e); err != nil {
+			t.Errorf("import: %v", err)
+		}
+		r.pairB.Resume()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunAll()
+	if s.Blocks != 2 {
+		t.Fatalf("blocks = %d, want 2 (1 on A + the migrated retry on B)", s.Blocks)
+	}
+	if got := out.Len(); got != 8 {
+		t.Fatalf("consumer holds %d words for 2 blocks of 4 (a block position lost or duplicated)", got)
 	}
 }

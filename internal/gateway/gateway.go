@@ -27,7 +27,8 @@
 // quarantined (removed from arbitration so the survivors' Eq. 3
 // interference bound shrinks instead of breaking). FreezeForFailover /
 // ExportStreams / ImportStream hand a frozen pair's per-stream state to a
-// standby pair on the same ring (see internal/mpsoc's FailoverController).
+// standby pair on the same ring (see internal/mpsoc's Chain.Freeze and
+// Chain.Export).
 //
 // With Recovery.Checkpoint = K the retry unit shrinks from the block to a
 // K-input-sample sub-block: at every interior multiple of K (rounded up to
@@ -101,8 +102,6 @@ type Config struct {
 	Arbiter Arbitration
 	// BusBase/BusPerWord parameterise ReconfigPerWord.
 	BusBase, BusPerWord sim.Time
-	// IdlePort is the entry-gateway ring port for pipeline-idle messages.
-	IdlePort int
 	// RecordOutputTimes keeps per-sample output timestamps on every stream
 	// (memory-heavy; enable in tests and measurements only).
 	RecordOutputTimes bool
@@ -126,26 +125,24 @@ type Config struct {
 	// never legitimately need more than ~2·c0 plus interconnect transit, so
 	// a small multiple of c0 is safe. (Reconfiguration bus transfers count
 	// as progress for as long as the bus is occupied, so Rs may exceed the
-	// window.) 0 disables the watchdog. Historical name: the first version
-	// only armed the drain phase.
+	// window.) 0 disables the watchdog.
 	// It is also the flush's settle time between aborting a block and
 	// clearing the chain: the window exceeds the worst-case interconnect
 	// transit plus one sample service by construction, so every in-flight
 	// word and credit has landed when it expires.
 	DrainTimeout sim.Time
 	// Recovery configures what happens after a stall is detected. The zero
-	// value keeps the historical detect-only behaviour (the pair stays
-	// wedged).
+	// value only detects: the stall is counted and reported to the stall
+	// observer, and the pair stays wedged.
 	Recovery Recovery
 	// DropIdle, when non-nil, is consulted before the exit gateway sends a
 	// pipeline-idle notification; returning true swallows the message —
 	// the "lost idle notification" fault-injection hook.
 	DropIdle func(stream int, block uint64) bool
-	// RecordTurnarounds keeps one BlockRecord per completed block on every
-	// stream, so tests and the fault campaign can check per-block latency
-	// re-convergence after a disturbance.
-	RecordTurnarounds bool
 }
+
+// idlePort is the entry-gateway ring port for pipeline-idle messages.
+const idlePort = 7
 
 // Recovery configures watchdog-driven fault recovery. When enabled, a
 // detected stall triggers flush → retry → (past RetryLimit) quarantine
@@ -298,7 +295,7 @@ type Stream struct {
 	// precedent). A released slot carries no FIFOs and no engine state and is
 	// permanently Suspended; every arbitration and failover path skips it.
 	Released bool
-	// Turnarounds holds one record per completed block (RecordTurnarounds).
+	// Turnarounds holds one record per completed block.
 	Turnarounds []BlockRecord
 }
 
@@ -308,8 +305,8 @@ type Stream struct {
 // uses it to pick cheap victims (smallest-residue-first).
 func (s *Stream) ReplayResidue() int { return len(s.pendingReplay) }
 
-// BlockRecord describes one completed block (Config.RecordTurnarounds):
-// when it became eligible, when its service (first attempt) started, when
+// BlockRecord describes one completed block (Stream.Turnarounds): when it
+// became eligible, when its service (first attempt) started, when
 // the pipeline-idle notification closed it, and how many retries it needed.
 // Done-Queued is the turnaround measured against γ̂s (Eq. 4); Done-Started
 // is the service latency measured against τ̂s (Eq. 2).
@@ -499,7 +496,7 @@ func NewPair(k *sim.Kernel, net *ring.Dual, cfg Config, tiles []*accel.Tile, ent
 	// leaking an O(ring-size) term into measured service latency that the
 	// temporal model (Eq. 2) has no business covering. On the credit ring
 	// the hop count is the chain length, a per-chain constant.
-	net.Credit.Node(cfg.EntryNode).Bind(cfg.IdlePort, func(m ring.Message) {
+	net.Credit.Node(cfg.EntryNode).Bind(idlePort, func(m ring.Message) {
 		p.onPipelineIdle(int(m.W))
 	})
 	return p, nil
@@ -684,65 +681,99 @@ func (p *Pair) beginBlock(i int) {
 		p.ckptEvery = k
 	}
 	p.blockStarted = p.k.Now()
-	if s.queued {
-		p.blockQueued = s.queuedAt
-	} else {
-		p.blockQueued = p.k.Now()
-	}
+	// trackQueued marked the stream queued in this same entryRun, before
+	// pick chose it.
+	p.blockQueued = s.queuedAt
 	p.armWatchdog()
+	p.reconfigure(prev)
+}
 
-	var cost sim.Time
-	switch p.cfg.Mode {
-	case ReconfigFixed:
-		cost = s.Reconfig
-	case ReconfigPerWord:
-		words := 0
-		if prev >= 0 {
-			for _, e := range p.streams[prev].Engines {
-				words += e.StateWords()
+// reconfigure programs the chain for the active stream over the
+// configuration bus, then restarts streaming at the replay window's start.
+// A new block (prev ≥ -1) saves the outgoing stream's engines and loads the
+// incoming ones; a retry (prev == noSave) only reloads the snapshot taken at
+// the window's start. The transfer is the pair's Rs under ReconfigFixed,
+// base + words·perWord per direction under ReconfigPerWord.
+func (p *Pair) reconfigure(prev int) {
+	i := p.active
+	s := p.streams[i]
+	cost := s.Reconfig
+	if p.cfg.Mode == ReconfigPerWord {
+		words := stateWords(s)
+		cost = p.cfg.BusBase
+		if prev != noSave {
+			cost += p.cfg.BusBase
+			if prev >= 0 {
+				words += stateWords(p.streams[prev])
 			}
 		}
-		for _, e := range s.Engines {
-			words += e.StateWords()
-		}
-		cost = 2*p.cfg.BusBase + sim.Time(words)*p.cfg.BusPerWord
+		cost += sim.Time(words) * p.cfg.BusPerWord
 	}
+	p.state = stReconfig
 	p.ReconfigCycles += uint64(cost)
 	p.phaseStart = p.k.Now()
 	p.bus.TransferCycles(cost, func() {
 		if p.failed {
 			return // the pair froze for failover while the bus was busy
 		}
-		if err := p.swapEngines(prev, i); err != nil {
-			panic(fmt.Sprintf("gateway %s: %v", p.cfg.Name, err))
-		}
-		if p.cfg.Recovery.Enabled {
-			// Snapshot the engines' state at block start so a retry can
-			// restore it (abort-and-reconfigure) and replay identically.
-			p.retryState = p.retryState[:0]
-			for _, e := range s.Engines {
-				p.retryState = append(p.retryState, e.SaveState())
+		if prev == noSave {
+			for t, e := range s.Engines {
+				if err := e.LoadState(p.retryState[t]); err != nil {
+					panic(fmt.Sprintf("gateway %s: retry restore %s tile %d: %v", p.cfg.Name, s.Name, t, err))
+				}
 			}
+		} else {
+			if err := p.swapEngines(prev, i); err != nil {
+				panic(fmt.Sprintf("gateway %s: %v", p.cfg.Name, err))
+			}
+			if p.cfg.Recovery.Enabled {
+				// Snapshot the engines' state at block start so a retry can
+				// restore it (abort-and-reconfigure) and replay identically.
+				p.retryState = saveEngines(s, p.retryState[:0])
+			}
+			// A migrated block resumes with its already-committed output
+			// words pre-counted.
+			p.exitCount = p.resumeCommitted
+			p.resumeCommitted = 0
 		}
 		p.recordActivity(ActReconfig)
-		// Configure the exit gateway for the new block (its own port on the
-		// configuration bus, per Fig. 4b). A migrated block resumes with
-		// its already-committed output words pre-counted; the ones the
-		// replay will regenerate — positions past the resume point — are
-		// marked for discard (see Stream.pendingReplay). A checkpointed
-		// resume regenerates nothing before its watermark, so its discard
-		// count is zero by construction.
-		p.exitCount = p.resumeCommitted
+		// Configure the exit gateway (its own port on the configuration bus,
+		// per Fig. 4b): replayed outputs up to the commit watermark are marked
+		// for discard (see Stream.pendingReplay). A checkpointed resume
+		// regenerates nothing before its watermark, so it discards none.
 		p.exitDelivered = p.blockBase / (s.Block / s.OutBlock)
-		p.exitDiscard = p.resumeCommitted - p.exitDelivered
-		p.resumeCommitted = 0
+		p.exitDiscard = p.exitCount - p.exitDelivered
 		p.ckptNext = p.nextCkptBoundary(s)
 		p.state = stStreaming
 		p.sent = 0
+		p.fetched = 0
 		p.lastStreamStart = p.k.Now()
-		s.queued = true // ensure turnaround accounting has a reference
+		if prev == noSave {
+			p.armWatchdog() // a retry re-arms after the reload; a new block armed before it
+		}
 		p.pump()
 	})
+}
+
+// noSave is reconfigure's prev for a retry: reload the active stream's
+// engines without saving anyone's.
+const noSave = -2
+
+func stateWords(s *Stream) int {
+	words := 0
+	for _, e := range s.Engines {
+		words += e.StateWords()
+	}
+	return words
+}
+
+// saveEngines appends the state of each of s's engines, in tile order, to
+// dst.
+func saveEngines(s *Stream, dst [][]uint64) [][]uint64 {
+	for _, e := range s.Engines {
+		dst = append(dst, e.SaveState())
+	}
+	return dst
 }
 
 // swapEngines saves the outgoing stream's accelerator state and restores
@@ -752,9 +783,7 @@ func (p *Pair) beginBlock(i int) {
 func (p *Pair) swapEngines(prev, next int) error {
 	if prev >= 0 {
 		ps := p.streams[prev]
-		for t, e := range ps.Engines {
-			ps.saved[t] = e.SaveState()
-		}
+		ps.saved = saveEngines(ps, ps.saved[:0])
 	}
 	ns := p.streams[next]
 	for t, e := range ns.Engines {
@@ -928,17 +957,12 @@ func (p *Pair) stallDetected() {
 	p.beginFlush()
 }
 
-// beginFlush aborts the in-flight block: freeze the entry and exit state
-// machines (the epoch bump turns their in-flight completions into no-ops),
-// then wait out one DrainTimeout window so every word and credit still
-// travelling the interconnect has landed before the chain is cleared.
+// beginFlush aborts the in-flight block attempt, then waits out one
+// DrainTimeout window so every word and credit still travelling the
+// interconnect has landed before the chain is cleared.
 func (p *Pair) beginFlush() {
 	p.state = stFlushing
-	p.blockEpoch++
-	p.dmaBusy = false
-	p.holding = false
-	p.exitBusy = false
-	p.exitHolding = false
+	p.abortAttempt()
 	p.phaseStart = p.k.Now()
 	epoch := p.blockEpoch
 	p.k.Schedule(p.cfg.DrainTimeout, func() {
@@ -949,10 +973,24 @@ func (p *Pair) beginFlush() {
 	})
 }
 
-// completeFlush clears the chain — tile NI queues, in-process samples,
-// pending outputs, the exit NI — and resets every link's credit state, then
-// decides between retry and quarantine.
-func (p *Pair) completeFlush() {
+// abortAttempt ends the in-flight block attempt — for a flush and for a
+// freeze: the epoch bump turns its scheduled completions (DMA, watchdog,
+// idle resend) into no-ops, and the value-exact stage, which never reached
+// the consumer, is rolled back off the commit watermark.
+func (p *Pair) abortAttempt() {
+	p.blockEpoch++
+	p.dmaBusy = false
+	p.holding = false
+	p.exitBusy = false
+	p.exitHolding = false
+	p.exitCount -= int64(len(p.stage))
+	p.stage = p.stage[:0]
+}
+
+// scrubChain clears the chain — tile NI queues, in-process samples, pending
+// outputs, the exit NI — and resets every link's credit state. The caller
+// has aborted the attempt and waited out the interconnect settle.
+func (p *Pair) scrubChain() {
 	for _, t := range p.tiles {
 		t.Abort()
 	}
@@ -963,6 +1001,12 @@ func (p *Pair) completeFlush() {
 			l.Reset()
 		}
 	}
+}
+
+// completeFlush scrubs the chain, then decides between retry and
+// quarantine.
+func (p *Pair) completeFlush() {
+	p.scrubChain()
 	p.recordActivity(ActFlush)
 	s := p.streams[p.active]
 	if s.Probation {
@@ -978,57 +1022,15 @@ func (p *Pair) completeFlush() {
 	p.blockRetries++
 	p.Retries++
 	s.RetryCount++
-	p.retryBlock()
-}
-
-// retryBlock re-issues the aborted block: reload the engines' snapshot at
-// the replay window's start — block start, or the last committed checkpoint
-// — over the configuration bus (abort-and-reconfigure, charged like a
-// context switch), then replay the locally buffered input words. Output
-// words that were already committed to the output C-FIFO before the abort
-// are regenerated by the replay and discarded at the exit gateway, so the
-// consumer sees each block position once; value-exact staged words were
-// never committed, so they are rolled back and regenerated for real.
-func (p *Pair) retryBlock() {
-	s := p.streams[p.active]
-	if n := int64(len(p.stage)); n > 0 {
-		p.exitCount -= n
-		p.stage = p.stage[:0]
-	}
-	p.state = stReconfig
-	var cost sim.Time
-	switch p.cfg.Mode {
-	case ReconfigFixed:
-		cost = s.Reconfig
-	case ReconfigPerWord:
-		words := 0
-		for _, e := range s.Engines {
-			words += e.StateWords()
-		}
-		cost = p.cfg.BusBase + sim.Time(words)*p.cfg.BusPerWord
-	}
-	p.ReconfigCycles += uint64(cost)
-	p.phaseStart = p.k.Now()
-	epoch := p.blockEpoch
-	p.bus.TransferCycles(cost, func() {
-		if p.blockEpoch != epoch {
-			return
-		}
-		for t, e := range s.Engines {
-			if err := e.LoadState(p.retryState[t]); err != nil {
-				panic(fmt.Sprintf("gateway %s: retry restore %s tile %d: %v", p.cfg.Name, s.Name, t, err))
-			}
-		}
-		p.recordActivity(ActReconfig)
-		p.state = stStreaming
-		p.sent = 0
-		p.fetched = 0
-		p.exitDelivered = p.blockBase / (s.Block / s.OutBlock)
-		p.exitDiscard = p.exitCount - p.exitDelivered
-		p.lastStreamStart = p.k.Now()
-		p.armWatchdog()
-		p.pump()
-	})
+	// Retry: reload the engines' snapshot at the replay window's start —
+	// block start, or the last committed checkpoint — over the
+	// configuration bus (abort-and-reconfigure, charged like a context
+	// switch), then replay the locally buffered input words. Output words
+	// already committed to the output C-FIFO are regenerated and discarded
+	// at the exit gateway, so the consumer sees each block position once;
+	// value-exact staged words were never committed (abortAttempt rolled
+	// them back), so they are regenerated for real.
+	p.reconfigure(noSave)
 }
 
 // quarantine removes the active stream from arbitration for good: its
@@ -1045,7 +1047,6 @@ func (p *Pair) quarantine() {
 	p.Quarantines++
 	p.blockBuf = p.blockBuf[:0]
 	p.fetched = 0
-	p.stage = p.stage[:0] // staged words belong to the discarded block
 	p.blockBase = 0
 	p.state = stIdle
 	if p.onQuarantine != nil {
@@ -1134,17 +1135,11 @@ func (p *Pair) afterExitWord(committed bool) {
 	s := p.streams[p.active]
 	p.exitDelivered++
 	if committed {
-		if p.cfg.Recovery.ValueExact {
-			// Staged, not yet in the output C-FIFO: count it toward block
-			// completion now, account SamplesOut/OutTimes at the actual
-			// commit (drainStage).
-			p.exitCount++
-		} else {
-			s.SamplesOut++
-			if p.cfg.RecordOutputTimes {
-				s.OutTimes = append(s.OutTimes, p.k.Now())
-			}
-			p.exitCount++
+		p.exitCount++
+		if !p.cfg.Recovery.ValueExact {
+			// A staged word counts toward block completion now and reaches
+			// the consumer at its actual commit (drainStage).
+			p.countOutput(s)
 		}
 	}
 	if p.exitCount >= s.OutBlock && p.exitDiscard == 0 {
@@ -1188,10 +1183,7 @@ func (p *Pair) beginCheckpoint(s *Stream) {
 			if p.failed || p.blockEpoch != epoch {
 				return
 			}
-			p.retryState = p.retryState[:0]
-			for _, e := range s.Engines {
-				p.retryState = append(p.retryState, e.SaveState())
-			}
+			p.retryState = saveEngines(s, p.retryState[:0])
 			p.blockBase = p.ckptNext
 			p.blockBuf = p.blockBuf[:0]
 			p.fetched = 0
@@ -1209,8 +1201,8 @@ func (p *Pair) beginCheckpoint(s *Stream) {
 // output C-FIFO, then runs done (immediately when nothing is staged). The
 // space check reserved the room at block start, so only transient
 // ring-injection backpressure can delay a write. Bound to the block epoch:
-// an abort discards the remaining stage instead (retryBlock and quarantine
-// roll the watermark back).
+// an abort discards the remaining stage instead (abortAttempt rolls the
+// watermark back).
 func (p *Pair) drainStage(done func()) {
 	if len(p.stage) == 0 {
 		done()
@@ -1229,14 +1221,19 @@ func (p *Pair) drainStage(done func()) {
 				return
 			}
 			p.stage = p.stage[1:]
-			s.SamplesOut++
-			if p.cfg.RecordOutputTimes {
-				s.OutTimes = append(s.OutTimes, p.k.Now())
-			}
+			p.countOutput(s)
 		}
 		done()
 	}
 	step()
+}
+
+// countOutput accounts one output word committed to s's output C-FIFO.
+func (p *Pair) countOutput(s *Stream) {
+	s.SamplesOut++
+	if p.cfg.RecordOutputTimes {
+		s.OutTimes = append(s.OutTimes, p.k.Now())
+	}
 }
 
 // sendIdle originates one pipeline-idle notification; the DropIdle fault
@@ -1256,7 +1253,7 @@ func (p *Pair) pushIdle(streamIdx int, epoch uint64) {
 	if p.blockEpoch != epoch {
 		return
 	}
-	if !p.net.Credit.Node(p.cfg.ExitNode).TrySend(p.cfg.EntryNode, p.cfg.IdlePort, sim.Word(streamIdx)) {
+	if !p.net.Credit.Node(p.cfg.ExitNode).TrySend(p.cfg.EntryNode, idlePort, sim.Word(streamIdx)) {
 		p.k.Schedule(2, func() { p.pushIdle(streamIdx, epoch) })
 	}
 }
@@ -1283,12 +1280,10 @@ func (p *Pair) onPipelineIdle(streamIdx int) {
 		}
 		s.queued = false
 	}
-	if p.cfg.RecordTurnarounds {
-		s.Turnarounds = append(s.Turnarounds, BlockRecord{
-			Queued: p.blockQueued, Started: p.blockStarted, Done: p.k.Now(), Retries: p.blockRetries,
-			Replayed: p.blockIssued - p.blockFresh,
-		})
-	}
+	s.Turnarounds = append(s.Turnarounds, BlockRecord{
+		Queued: p.blockQueued, Started: p.blockStarted, Done: p.k.Now(), Retries: p.blockRetries,
+		Replayed: p.blockIssued - p.blockFresh,
+	})
 	p.blockEpoch++ // completed: cancel this block's pending timers/events
 	p.state = stIdle
 	if s.Probation {

@@ -32,7 +32,6 @@ func newRig(t *testing.T, cfg Config) *rig {
 	exitNI := sim.NewQueue("exit.ni", 2)
 	tile.SetDownstream(accel.NewLink("a->x", k, net, 1, 2, 1, 1, exitNI))
 	cfg.EntryNode, cfg.ExitNode = 0, 2
-	cfg.IdlePort = 7
 	pair, err := NewPair(k, net, cfg, []*accel.Tile{tile}, entryLink, exitNI)
 	if err != nil {
 		t.Fatal(err)

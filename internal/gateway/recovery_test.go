@@ -272,15 +272,14 @@ func TestRecoveryLostIdleNotification(t *testing.T) {
 	}
 }
 
-// TestRecoveryTurnaroundRecords: RecordTurnarounds captures per-block
+// TestRecoveryTurnaroundRecords: Stream.Turnarounds captures per-block
 // latency including the retried block's inflated service time, so a test
 // or campaign can check re-convergence after a disturbance.
 func TestRecoveryTurnaroundRecords(t *testing.T) {
 	cfg := Config{
 		Name: "rr2", EntryCost: 2, ExitCost: 1, Mode: ReconfigFixed,
-		DrainTimeout:      200,
-		Recovery:          Recovery{Enabled: true, RetryLimit: 3},
-		RecordTurnarounds: true,
+		DrainTimeout: 200,
+		Recovery:     Recovery{Enabled: true, RetryLimit: 3},
 	}
 	r := newRig(t, cfg)
 	s, in, _ := r.addStream(t, "s", 4, 32, 32, 20)

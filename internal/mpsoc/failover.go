@@ -7,14 +7,15 @@ package mpsoc
 // burns retry budget. The FailoverController migrates every stream to the
 // standby pair instead:
 //
-//	freeze    — retire the sick pair (gateway.FreezeForFailover), gate the
-//	            source-side C-FIFO producers (cfifo.BeginRepoint)
+//	freeze    — Chain.Freeze: retire the sick pair, gate the source-side
+//	            C-FIFO producers (the fleet's evacuation freezes alike)
 //	settle    — wait out the primary's DrainTimeout, clamped to the
 //	            outgoing configuration's max τ̂s (one block attempt is the
 //	            longest anything can remain in flight; ChainSpec.Settle)
-//	migrate   — export stream state from the dead pair, re-point the C-FIFO
-//	            endpoints to the standby's ring nodes, import every stream
-//	            onto the paused standby
+//	migrate   — Chain.Export: export stream state from the dead pair (as
+//	            evacuation does), re-point the C-FIFO endpoints to the
+//	            standby's ring nodes, import every stream onto the paused
+//	            standby
 //	reprogram — one validated ApplySlots transaction sizes (optionally
 //	            re-solves) every migrated slot over the configuration bus
 //	resume    — the standby starts arbitration; the aborted block replays
@@ -161,19 +162,47 @@ func (fc *FailoverController) Trigger(reason string) error {
 	// NewFailover guarantees a watchdog, so the settle is positive.
 	settle := fc.pri.Spec.Settle(maxTau)
 
-	if err := fc.pri.Pair.FreezeForFailover(); err != nil {
+	if err := fc.pri.Freeze(); err != nil {
 		return err
-	}
-	for _, st := range fc.pri.Strs {
-		if st.GW.Released {
-			// A rebalanced-away stream's tombstone: the real stream (and its
-			// FIFOs) belongs to another chain now.
-			continue
-		}
-		st.In.BeginRepoint()
 	}
 	fc.ms.K.Schedule(settle, func() { fc.migrate(reason, now, settle, maxTau) })
 	return nil
+}
+
+// Freeze retires the chain's pair mid-flight (gateway.FreezeForFailover)
+// and gates the input producer of every stream that is not a Released
+// tombstone (cfifo.BeginRepoint). Failover and the fleet's evacuation both
+// start here, then wait out the settle delay before Export.
+func (ch *Chain) Freeze() error {
+	if err := ch.Pair.FreezeForFailover(); err != nil {
+		return err
+	}
+	for _, st := range ch.Strs {
+		if !st.GW.Released {
+			st.In.BeginRepoint()
+		}
+	}
+	return nil
+}
+
+// Export scrubs the frozen chain (gateway.ExportStreams) and returns its
+// streams with their exports, index-parallel, leaving the chain empty.
+// Released tombstones are dropped: their real stream lives on another chain.
+func (ch *Chain) Export() ([]*Stream, []gateway.StreamExport, error) {
+	all, err := ch.Pair.ExportStreams()
+	if err != nil {
+		return nil, nil, err
+	}
+	var moved []*Stream
+	var exports []gateway.StreamExport
+	for i, e := range all {
+		if !e.Stream.Released {
+			moved = append(moved, ch.Strs[i])
+			exports = append(exports, e)
+		}
+	}
+	ch.Strs = nil
+	return moved, exports, nil
 }
 
 // refreshModel re-syncs the temporal model's per-stream ηs with the live
@@ -206,28 +235,14 @@ func (fc *FailoverController) refreshModel(snaps []gateway.StreamSnapshot) uint6
 // migrate runs after the settle delay: every in-flight word has landed, so
 // the dead chain can be scrubbed and the streams moved.
 func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Time, maxTau uint64) {
-	allExports, err := fc.pri.Pair.ExportStreams()
+	moved, exports, err := fc.pri.Export()
 	if err != nil {
 		panic(fmt.Sprintf("failover: export: %v", err))
-	}
-	// Drop Released tombstones: a rebalanced-away stream's slot exports an
-	// empty placeholder (no FIFOs, no state) — the real stream already lives
-	// on another chain. Strs and the export table are index-parallel, so one
-	// filter keeps them paired.
-	var exports []gateway.StreamExport
-	var moved []*Stream
-	for i, e := range allExports {
-		if e.Stream.Released {
-			continue
-		}
-		exports = append(exports, e)
-		moved = append(moved, fc.pri.Strs[i])
 	}
 	replay := 0
 	for _, e := range exports {
 		replay += len(e.Replay)
 	}
-	fc.pri.Strs = nil
 	decims := make([]int64, len(moved))
 	for i, st := range moved {
 		d := st.Spec.Decimation

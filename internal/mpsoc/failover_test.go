@@ -57,14 +57,13 @@ func failoverPlatformRec(t *testing.T, plan *fault.Plan, nStreams int, periods [
 				Accels:  []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
 				Streams: specs, DrainTimeout: 600,
 				Recovery: rec,
-				Faults:   plan, RecordTurnarounds: true,
+				Faults:   plan,
 			},
 			{
 				Name: "standby", EntryCost: 15, ExitCost: 1, Mode: gateway.ReconfigFixed,
 				Accels:  []AccelSpec{{Name: "acc-b", Cost: standbyCost, NICapacity: 2}},
 				Standby: true, DrainTimeout: 600,
-				Recovery:          rec,
-				RecordTurnarounds: true,
+				Recovery: rec,
 			},
 		},
 	})

@@ -35,10 +35,9 @@ func faultPlatform(plan *fault.Plan, rec gateway.Recovery) MultiConfig {
 		Streams: []StreamSpec{
 			stream("s0"), stream("s1"), stream("s2"),
 		},
-		DrainTimeout:      600,
-		Recovery:          rec,
-		Faults:            plan,
-		RecordTurnarounds: true,
+		DrainTimeout: 600,
+		Recovery:     rec,
+		Faults:       plan,
 	}}}
 }
 

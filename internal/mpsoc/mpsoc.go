@@ -250,26 +250,19 @@ type Report struct {
 	TileBusy                      []float64 // per accelerator utilisation
 }
 
-// StreamReport is the per-stream slice of a Report.
+// StreamReport is the per-stream slice of a Report: the gateway's counters
+// (Stalls/Retries count watchdog firings and block replays attributed to
+// the stream; Quarantined, at QuarantinedAt, means it was removed from
+// arbitration after exhausting its retry budget) plus the platform's own.
 type StreamReport struct {
-	Name          string
-	Blocks        uint64
-	SamplesIn     uint64
-	SamplesOut    uint64
-	Overflows     uint64
-	MaxTurnaround sim.Time
+	gateway.StreamSnapshot
+	// Overflows counts source samples dropped on a full input FIFO.
+	Overflows uint64
 	// PendingWait is how long an eligible block has been waiting unserved
 	// at the end of the run (starvation indicator).
 	PendingWait sim.Time
 	// OutputRate is samples per cycle over the observation window.
 	OutputRate float64
-	// Stalls/Retries count watchdog firings and block replays attributed
-	// to this stream; Quarantined (at QuarantinedAt) means the stream was
-	// removed from arbitration after exhausting its retry budget.
-	Stalls        uint64
-	Retries       uint64
-	Quarantined   bool
-	QuarantinedAt sim.Time
 }
 
 // Report collects the chain's measurements after Run.

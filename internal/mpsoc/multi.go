@@ -34,8 +34,6 @@ type ChainSpec struct {
 	// chain's links / the data ring, and lost-idle faults install the
 	// gateway's DropIdle hook.
 	Faults *fault.Plan
-	// RecordTurnarounds keeps per-block latency records on every stream.
-	RecordTurnarounds bool
 	// ReserveSlots pre-provisions ring attachment points (one source and one
 	// sink tile each) for streams admitted at runtime via AttachStream. The
 	// ring topology is fixed in hardware, so online admission can only use
@@ -177,7 +175,6 @@ func BuildMulti(cfg MultiConfig) (*MultiSystem, error) {
 const (
 	portData   = 1
 	portCredit = 1
-	portIdle   = 7
 )
 
 // assembleChain wires one gateway pair and its streams, consuming ring
@@ -220,13 +217,11 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 		Arbiter:           spec.Arbiter,
 		BusBase:           spec.BusBase,
 		BusPerWord:        spec.BusPerWord,
-		IdlePort:          portIdle,
 		RecordOutputTimes: top.RecordOutputTimes,
 		RecordActivity:    top.RecordActivity,
 		DisableSpaceCheck: spec.DisableSpaceCheck,
 		DrainTimeout:      spec.DrainTimeout,
 		Recovery:          spec.Recovery,
-		RecordTurnarounds: spec.RecordTurnarounds,
 	}
 	if spec.Faults != nil {
 		gwCfg.DropIdle = spec.Faults.IdleDropper()
@@ -363,9 +358,9 @@ func (m *MultiSystem) AttachStream(chainIdx int, ss StreamSpec) (*Stream, error)
 // evacuation primitive of the fleet control plane. Where a full failover
 // migrates every slot of a dead pair to one standby, evacuation re-places
 // each stream individually on whichever surviving chain admits it. The
-// caller must have frozen the source pair (gateway.FreezeForFailover), gated
-// the stream's input producer (cfifo.BeginRepoint) and waited out the settle
-// delay; the target pair must be paused (the import runs inside an admission
+// caller must have frozen the source chain (Chain.Freeze, which also gates
+// the stream's input producer), waited out the settle delay and exported it
+// (Chain.Export); the target pair must be paused (the import runs inside an admission
 // transition). Unlike AttachStream, no reserved ring slot is consumed — the
 // stream keeps its existing source/sink ring nodes, only the C-FIFO gateway
 // endpoints are re-pointed.
@@ -484,17 +479,9 @@ func (ch *Chain) Report() Report {
 	}
 	for i, snap := range ch.Pair.Snapshot() {
 		sr := StreamReport{
-			Name:          snap.Name,
-			Blocks:        snap.Blocks,
-			SamplesIn:     snap.SamplesIn,
-			SamplesOut:    snap.SamplesOut,
-			Overflows:     ch.Strs[i].Overflows,
-			MaxTurnaround: snap.MaxTurnaround,
-			PendingWait:   ch.Pair.PendingWait(i),
-			Stalls:        snap.Stalls,
-			Retries:       snap.Retries,
-			Quarantined:   snap.Quarantined,
-			QuarantinedAt: snap.QuarantinedAt,
+			StreamSnapshot: snap,
+			Overflows:      ch.Strs[i].Overflows,
+			PendingWait:    ch.Pair.PendingWait(i),
 		}
 		if total > 0 {
 			sr.OutputRate = float64(snap.SamplesOut) / float64(total)
